@@ -19,11 +19,21 @@
 //! at 20x (exit code 1 below). A whitespace-only row exercises the
 //! token-identical fast path, where the parse does not re-run at all.
 //!
+//! The insert/delete rows change the token count, so their re-parse
+//! replays to the end of the document. The `incremental-substitute-*` rows
+//! instead swap one token for another terminal of the same length, on a
+//! two-terminal list (its own server, so the other rows keep their
+//! grammar): the re-parse stops where it converges with the recorded parse
+//! and keeps the recorded suffix. `substitution_edit_speedup_front` — the
+//! `full-edit-front` mean over the `incremental-substitute-front` mean — is
+//! hard-gated at 50x.
+//!
 //! Prints a table and writes `BENCH_incremental_text.json` for CI.
 //!
 //! Run with `cargo run --release -p ipg-bench --bin incremental_text`.
 
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::time::Instant;
 
 use ipg::IpgServer;
@@ -48,6 +58,31 @@ fn server() -> IpgServer {
     .with_scanner(simple_scanner(&["item"]))
 }
 
+/// The same list over two terminals of equal length, for substitutions.
+fn two_terminal_server() -> IpgServer {
+    IpgServer::from_bnf(
+        r#"
+        L ::= L "item" | L "atom" | "item" | "atom"
+        START ::= L
+    "#,
+    )
+    .expect("two-terminal list grammar parses")
+    .with_scanner(simple_scanner(&["item", "atom"]))
+}
+
+/// One timed pair of edits that leaves the document as it was.
+type EditPair = [(Range<usize>, &'static str); 2];
+
+/// Insert one `item` token at byte `at`, then delete it again.
+fn insert_pair(at: usize) -> EditPair {
+    [(at..at, "item "), (at..at + 5, "")]
+}
+
+/// Substitute the `item` token at byte `at` with `atom`, then back.
+fn substitute_pair(at: usize) -> EditPair {
+    [(at..at + 4, "atom"), (at..at + 4, "item")]
+}
+
 struct Row {
     scenario: &'static str,
     mean_us: f64,
@@ -56,18 +91,19 @@ struct Row {
     tokens_relexed: f64,
     /// Mean GSS states re-run per edit, from `GenStats`.
     states_rerun: f64,
+    /// Fraction of edits whose re-parse converged before the end.
+    converged: f64,
 }
 
-/// Runs `ROUNDS` insert/delete pairs at byte offset `at` and returns the
-/// per-edit latency row. `stale` publishes a no-op `MODIFY` before every
-/// edit, forcing the full-rebuild fallback. The insert/delete pair keeps
-/// the document identical across rounds, so every scenario measures the
-/// same text and the ratios are honest.
-fn run_edits(server: &IpgServer, id: u64, at: usize, stale: bool, scenario: &'static str) -> Row {
+/// Runs `ROUNDS` edit pairs and returns the per-edit latency row. `stale`
+/// publishes a no-op `MODIFY` before every edit, forcing the full-rebuild
+/// fallback. Each pair leaves the document as it was, so every scenario
+/// measures the same text and the ratios are honest.
+fn run_edits(server: &IpgServer, id: u64, pair: EditPair, stale: bool, scenario: &'static str) -> Row {
     let before = server.stats().merged();
     let mut latencies = Vec::with_capacity(ROUNDS * 2);
     for _ in 0..ROUNDS {
-        for (range, repl) in [(at..at, "item "), (at..at + 5, "")] {
+        for (range, repl) in pair.clone() {
             if stale {
                 server.modify(|_| {});
             }
@@ -93,6 +129,7 @@ fn run_edits(server: &IpgServer, id: u64, at: usize, stale: bool, scenario: &'st
         max_us,
         tokens_relexed: (after.tokens_relexed - before.tokens_relexed) as f64 / edits,
         states_rerun: (after.states_rerun - before.states_rerun) as f64 / edits,
+        converged: (after.reparse_converged - before.reparse_converged) as f64 / edits,
     }
 }
 
@@ -116,12 +153,19 @@ fn main() {
     server.apply_edit(id, 0..0, "item ").expect("warm full edit");
     server.apply_edit(id, 0..5, "").expect("warm edit");
 
+    let substitutions = two_terminal_server();
+    let sub_id = substitutions.open_document(&text).expect("document opens");
+    substitutions.apply_edit(sub_id, 0..4, "atom").expect("warm edit");
+    substitutions.apply_edit(sub_id, 0..4, "item").expect("warm edit");
+
     let end = text.len() - 4; // before the last "item"
     let mid = text.len() / 2 / 5 * 5; // a token boundary near the middle
     let rows = [
-        run_edits(&server, id, end, false, "incremental-edit-end"),
-        run_edits(&server, id, mid, false, "incremental-edit-mid"),
-        run_edits(&server, id, 0, false, "incremental-edit-front"),
+        run_edits(&server, id, insert_pair(end), false, "incremental-edit-end"),
+        run_edits(&server, id, insert_pair(mid), false, "incremental-edit-mid"),
+        run_edits(&server, id, insert_pair(0), false, "incremental-edit-front"),
+        run_edits(&substitutions, sub_id, substitute_pair(0), false, "incremental-substitute-front"),
+        run_edits(&substitutions, sub_id, substitute_pair(mid), false, "incremental-substitute-mid"),
         // Whitespace-only: the damaged region re-lexes to the same token
         // sequence, so the parse is reused outright (fast path).
         {
@@ -148,20 +192,21 @@ fn main() {
                 tokens_relexed: (after.tokens_relexed - before.tokens_relexed) as f64
                     / (ROUNDS * 2) as f64,
                 states_rerun: 0.0,
+                converged: 0.0,
             }
         },
-        run_edits(&server, id, end, true, "full-edit-end"),
-        run_edits(&server, id, 0, true, "full-edit-front"),
+        run_edits(&server, id, insert_pair(end), true, "full-edit-end"),
+        run_edits(&server, id, insert_pair(0), true, "full-edit-front"),
     ];
 
     println!(
-        "\n{:<28} {:>12} {:>12} {:>16} {:>14}",
-        "scenario", "mean µs", "max µs", "tokens re-lexed", "states re-run"
+        "\n{:<30} {:>12} {:>12} {:>16} {:>14} {:>10}",
+        "scenario", "mean µs", "max µs", "tokens re-lexed", "states re-run", "converged"
     );
     for row in &rows {
         println!(
-            "{:<28} {:>12.1} {:>12.1} {:>16.1} {:>14.1}",
-            row.scenario, row.mean_us, row.max_us, row.tokens_relexed, row.states_rerun
+            "{:<30} {:>12.1} {:>12.1} {:>16.1} {:>14.1} {:>10.2}",
+            row.scenario, row.mean_us, row.max_us, row.tokens_relexed, row.states_rerun, row.converged
         );
     }
 
@@ -173,9 +218,11 @@ fn main() {
     };
     let speedup_end = mean("full-edit-end") / mean("incremental-edit-end");
     let speedup_front = mean("full-edit-front") / mean("incremental-edit-front");
+    let speedup_substitute = mean("full-edit-front") / mean("incremental-substitute-front");
     let work_ratio = mean("incremental-edit-end") / mean("full-edit-end");
     println!("\nsingle-token edit speedup (end of document):   {speedup_end:.1}x");
     println!("single-token edit speedup (front of document): {speedup_front:.1}x");
+    println!("substitution edit speedup (front of document): {speedup_substitute:.1}x");
     println!("incremental/full latency ratio (end edits):    {work_ratio:.5}");
 
     let mut json = String::from("{\n  \"rows\": [\n");
@@ -183,12 +230,13 @@ fn main() {
         let _ = writeln!(
             json,
             "    {{\"scenario\": \"{}\", \"mean_us\": {:.2}, \"max_us\": {:.2}, \
-             \"tokens_relexed\": {:.2}, \"states_rerun\": {:.2}}}{}",
+             \"tokens_relexed\": {:.2}, \"states_rerun\": {:.2}, \"converged\": {:.2}}}{}",
             row.scenario,
             row.mean_us,
             row.max_us,
             row.tokens_relexed,
             row.states_rerun,
+            row.converged,
             if i + 1 < rows.len() { "," } else { "" },
         );
     }
@@ -197,6 +245,7 @@ fn main() {
         "  ],\n  \"tokens\": {TOKENS},\n  \"open_document_ms\": {:.3},\n  \
          \"single_token_edit_speedup\": {speedup_end:.3},\n  \
          \"single_token_edit_speedup_front\": {speedup_front:.3},\n  \
+         \"substitution_edit_speedup_front\": {speedup_substitute:.3},\n  \
          \"incremental_full_ratio\": {work_ratio:.6}\n}}\n",
         open_s * 1e3,
     );
@@ -204,11 +253,13 @@ fn main() {
     println!("\nwrote BENCH_incremental_text.json");
 
     server.close_document(id).expect("close");
+    substitutions.close_document(sub_id).expect("close");
 
     // Hard gate: a single-token edit at the end of a large document must
     // beat the full re-parse by 20x — an in-run, same-host ratio, so it
     // holds on any hardware. (The design target is 100x+; 20x is the
     // regression floor, leaving headroom for slow CI runners.)
+    let mut failed = false;
     if speedup_end < 20.0 {
         eprintln!(
             "FAIL: single-token edit speedup {speedup_end:.1}x below the 20x gate \
@@ -216,6 +267,20 @@ fn main() {
             mean("incremental-edit-end"),
             mean("full-edit-end")
         );
+        failed = true;
+    }
+    // Hard gate: a same-length substitution at the front converges a few
+    // tokens after the edit, so it must beat the full re-parse by 50x.
+    if speedup_substitute < 50.0 {
+        eprintln!(
+            "FAIL: substitution edit speedup {speedup_substitute:.1}x below the 50x gate \
+             (substitution {:.1} µs vs full {:.1} µs)",
+            mean("incremental-substitute-front"),
+            mean("full-edit-front")
+        );
+        failed = true;
+    }
+    if failed {
         std::process::exit(1);
     }
 }

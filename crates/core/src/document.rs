@@ -10,13 +10,28 @@
 //!   old token boundaries (`ipg_lexer::relex`);
 //! * the parser's `ParseCtx` (GSS pools + flat forest arena) and
 //!   `ParseHistory` (per-token checkpoints), so the GSS re-runs only from
-//!   the leftmost damaged token and retained forest subtrees are reused;
+//!   the leftmost damaged token — and, for same-length edits, only until
+//!   it converges with the recorded parse — reusing the retained forest;
 //! * the pinned `Arc<GrammarEpoch>` and DFA snapshot the state was built
 //!   against.
 //!
-//! [`IpgServer::apply_edit`] is the hot path: splice, bounded re-lex, GSS
-//! resume — O(damage) instead of O(document). Its staleness rule is
-//! strict: if the server published any epoch since the session last
+//! [`IpgServer::apply_edit`] is the hot path:
+//!
+//! 1. splice the text and characters, and re-lex only the damaged region
+//!    (a same-length edit shifts no later record's position, so only a
+//!    change in the record count still moves the record vector's tail);
+//! 2. map the re-lexed records to terminals — a token-identical result
+//!    (layout edits, renames within a token class) keeps the parse as is;
+//! 3. resume the GSS with the edit's token extent: it rewinds to the
+//!    leftmost damaged token's checkpoint and logs what it overwrites;
+//! 4. for an edit that keeps the token count, the re-run stops where it
+//!    converges with the recorded parse and splices the recorded suffix
+//!    back (`reparse_converged`); other edits replay to the end.
+//!
+//! `states_rerun` counts the GSS nodes the re-run built, up to the
+//! convergence point.
+//!
+//! The staleness rule is strict: if the server published any epoch since the session last
 //! parsed (grammar `MODIFY`, scanner edit, GC), the edit re-pins the
 //! current epoch and rebuilds everything from scratch (`reparse_full`) —
 //! match records, token vectors, forests and histories are never spliced
@@ -37,7 +52,7 @@ use std::time::Instant;
 
 use ipg_glr::{
     ExhaustReason, GssParseResult, GssParser, GssStats, ParseBudget, ParseCtx, ParseHistory,
-    ParseOutcome,
+    ParseOutcome, TokenEdit,
 };
 use ipg_grammar::SymbolId;
 use ipg_lexer::{relex, DfaSnapshot, MatchRec, ScanError};
@@ -346,18 +361,24 @@ impl IpgServer {
             self.note(&delta);
             return Ok(doc.last);
         }
+        let edit = TokenEdit {
+            start: damage,
+            old_len: rel.old_tokens_removed,
+            new_len: new_syms.len(),
+        };
         doc.tokens.splice(damage..removed_end, new_syms);
 
         let tables = epoch.session().tables();
         let parser = GssParser::new(epoch.session().grammar());
-        let (outcome, _resumed) = parser.parse_resumed_budgeted(
+        let resumed = parser.parse_resumed_budgeted(
             &mut doc.ctx,
             &tables,
             &doc.tokens,
             &mut doc.history,
-            damage,
+            edit,
             budget,
         );
+        let outcome = resumed.outcome;
         let (action_calls, goto_calls) = tables.query_counts();
         drop(tables);
         if let Some(reason) = outcome.exhausted() {
@@ -374,6 +395,7 @@ impl IpgServer {
             reparse_incremental: 1,
             tokens_relexed: rel.relexed,
             states_rerun: outcome.stats().nodes,
+            reparse_converged: usize::from(resumed.converged_at.is_some()),
             ..GenStats::default()
         };
         delta.latency.record(started.elapsed());
@@ -593,6 +615,31 @@ mod tests {
     }
 
     #[test]
+    fn same_length_substitutions_converge_and_are_counted() {
+        let server = IpgServer::from_bnf(
+            r#"
+            L ::= L "item" | L "atom" | "item" | "atom"
+            START ::= L
+        "#,
+        )
+        .unwrap()
+        .with_scanner(ipg_lexer::simple_scanner(&["item", "atom"]));
+        let text = vec!["item"; 40].join(" ");
+        let id = server.open_document(&text).unwrap();
+        for (at, repl) in [(50, "atom"), (0, "atom"), (50, "item"), (190, "atom")] {
+            server.apply_edit(id, at..at + 4, repl).unwrap();
+            let text = server.document_text(id).unwrap();
+            let cold = server.parse_text(&text).unwrap();
+            assert_eq!(digest(&server.document_result(id).unwrap()), digest(&cold), "text `{text}`");
+        }
+        let stats = server.stats().merged();
+        assert_eq!(stats.reparse_incremental, 4);
+        assert_eq!(stats.reparse_converged, 4, "every substitution converged");
+        assert!(stats.states_rerun <= 4 * 4, "only a few states re-ran per edit");
+        server.close_document(id).unwrap();
+    }
+
+    #[test]
     fn stale_epoch_forces_full_reparse() {
         let server = boolean_server();
         let id = server.open_document("true or false").unwrap();
@@ -693,7 +740,7 @@ mod tests {
         let server = boolean_server();
         let id = server.open_document("true or false").unwrap();
 
-        ipg_glr::FaultPlan::new().fail("relex", 1).arm_scoped();
+        ipg_glr::FaultPlan::new().fail("relex", 1).arm();
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _ = server.apply_edit(id, 8..13, "true");
         }));

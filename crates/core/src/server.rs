@@ -162,16 +162,19 @@
 //!     └─> splice text, re-lex only the damaged match region
 //!         (examined-extent damage tracking + boundary resync),
 //!         re-run the GSS only from the leftmost damaged token
-//!         (checkpointed frontiers; retained forest subtrees are reused)
-//!         (`reparse_incremental`)
+//!         (checkpointed frontiers; retained forest subtrees are reused),
+//!         and for a same-length edit only until it converges with the
+//!         recorded parse (`reparse_incremental`, `reparse_converged`)
 //! close_document(id) --> session dropped, its epoch pin released
 //! ```
 //!
 //! The session owns a private `ParseCtx` (GSS pools + forest arena), the
-//! lexer's match records and the GSS `ParseHistory`, so an edit costs
-//! O(damage), not O(document). **Epoch staleness rule:** a session pins
-//! the epoch it last parsed under; if any `MODIFY`/`modify_scanner`/GC
-//! published a newer epoch since, the next edit detects the stale pin
+//! lexer's match records and the GSS `ParseHistory`, so an edit that
+//! converges costs O(damage), not O(document); an edit that changes the
+//! token count still replays the GSS to the end. **Epoch staleness
+//! rule:** a session pins the epoch it last parsed under; if any
+//! `MODIFY`/`modify_scanner`/GC published a newer epoch since, the next
+//! edit detects the stale pin
 //! (one atomic compare), re-pins the current epoch and rebuilds from
 //! scratch — retained forests and histories are never spliced across
 //! epochs. The incremental path is digest-equivalent to a cold

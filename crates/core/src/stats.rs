@@ -257,8 +257,12 @@ pub struct GenStats {
     /// tokens alike; retained and shifted matches are not counted).
     pub tokens_relexed: usize,
     /// GSS nodes re-created by incremental re-parses — the re-run portion
-    /// of the graph (a cold parse would have built the whole graph).
+    /// of the graph (a cold parse would have built the whole graph), up to
+    /// the convergence point when the re-run converged.
     pub states_rerun: usize,
+    /// Incremental re-parses whose re-run converged with the recorded
+    /// parse before the end of the document and kept its suffix.
+    pub reparse_converged: usize,
     /// **Gauge** (max-merged, not summed): modeled resident bytes of the
     /// derived parser state — node chunks, published snapshot chunks,
     /// grammar rule arena and DFA snapshot states — sampled from the
@@ -362,6 +366,7 @@ impl GenStats {
             reparse_full,
             tokens_relexed,
             states_rerun,
+            reparse_converged,
             resident_bytes,
             resident_high_water,
             chunks_evicted,
@@ -409,6 +414,7 @@ impl GenStats {
         self.reparse_full += reparse_full;
         self.tokens_relexed += tokens_relexed;
         self.states_rerun += states_rerun;
+        self.reparse_converged += reparse_converged;
         // Residency gauges are point-in-time samples of (possibly shared)
         // state: summing per-thread copies would double-count chunks, so
         // merging keeps the largest sample.
@@ -497,6 +503,7 @@ impl fmt::Display for GenStats {
             writeln!(f, "reparse full:         {}", self.reparse_full)?;
             writeln!(f, "tokens re-lexed:      {}", self.tokens_relexed)?;
             writeln!(f, "GSS states re-run:    {}", self.states_rerun)?;
+            writeln!(f, "reparse converged:    {}", self.reparse_converged)?;
         }
         if self.resident_bytes > 0 {
             writeln!(f, "resident bytes:       {}", self.resident_bytes)?;

@@ -256,9 +256,11 @@ impl Frontend {
 
     /// Stops the frontend: stop accepting, answer or shed everything
     /// admitted (per `mode`), join every thread. Returns the final
-    /// frontend stats. Connections still held open by clients are given
-    /// `SHUTTING_DOWN` replies for frames that arrive during the drain and
-    /// are closed once idle for one read-timeout.
+    /// frontend stats. A connection still held open by its client is
+    /// closed at its next frame (answered `SHUTTING_DOWN`) or once idle for
+    /// one read-timeout, whichever comes first — so the drain is bounded by
+    /// the admitted work plus one read-timeout, however eagerly clients
+    /// retry.
     pub fn shutdown(mut self, mode: ShutdownMode) -> GenStats {
         self.shutdown_in_place(mode)
     }
@@ -335,8 +337,8 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, conns: &Mutex<Vec<J
 }
 
 /// One connection's reader: decode frames, admit or shed, loop. Exits on
-/// EOF, poison (slow client, malformed frame, dead writer) or idle during
-/// a drain.
+/// EOF, poison (slow client, malformed frame, dead writer), or during a
+/// drain at the first frame or idle poll.
 fn connection_loop(stream: TcpStream, shared: &Shared) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(shared.config.read_timeout));
@@ -354,8 +356,10 @@ fn connection_loop(stream: TcpStream, shared: &Shared) {
             Ok(request) => {
                 let admitted = Instant::now();
                 if shared.draining() {
-                    // Frames that were already in flight when the drain
-                    // began still get their one definitive reply.
+                    // A frame arriving during the drain gets its one
+                    // definitive reply, and then the connection closes: a
+                    // client retrying at once must not keep this reader
+                    // (and so `Frontend::shutdown`) alive forever.
                     shared.note(|s| s.shed_shutdown += 1);
                     reply(
                         shared,
@@ -364,7 +368,7 @@ fn connection_loop(stream: TcpStream, shared: &Shared) {
                         Status::ShuttingDown,
                         b"shutting down",
                     );
-                    continue;
+                    return;
                 }
                 // `CANCEL` is handled inline by the reader — queueing a
                 // cancel behind the very request it cancels would defeat

@@ -553,7 +553,7 @@ pub(crate) fn stats_json(shared: &Shared) -> String {
          \"latency_us\": {}}},\n  \"server\": {{\"parses\": {}, \"action_calls\": {}, \
          \"epochs_published\": {}, \"ctx_reused\": {}, \"effective_workers\": {}, \
          \"open_documents\": {}, \"reparse_incremental\": {}, \"reparse_full\": {}, \
-         \"tokens_relexed\": {}, \"states_rerun\": {}, \
+         \"tokens_relexed\": {}, \"states_rerun\": {}, \"reparse_converged\": {}, \
          \"parses_cancelled\": {}, \"parses_exhausted\": {}, \"ctx_quarantined\": {}, \
          \"latency_us\": {}}},\n  \"registry\": {{\"tenants_active\": {}, \"budget_bytes\": {}, \
          \"resident_bytes\": {}, \"resident_high_water\": {}, \"chunks_evicted\": {}, \
@@ -586,6 +586,7 @@ pub(crate) fn stats_json(shared: &Shared) -> String {
         merged.reparse_full,
         merged.tokens_relexed,
         merged.states_rerun,
+        merged.reparse_converged,
         merged.parses_cancelled,
         merged.parses_exhausted,
         merged.ctx_quarantined,

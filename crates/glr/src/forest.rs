@@ -16,6 +16,13 @@
 //! [`Forest::clear`]ed and rebuilt (the serving layer's reusable parse
 //! contexts do exactly this) performs **zero heap allocations** once its
 //! pools have warmed up to the workload's size.
+//!
+//! The span index only ever needs the spans the GSS driver is currently
+//! interning: the driver derives every node at the position its span ends,
+//! so it forgets each position's spans as it moves on, which keeps the
+//! index at frontier width instead of document size. For incremental
+//! re-parses the pools can be rewound to a checkpoint and later spliced
+//! back (see `crate::rewind`).
 
 use std::collections::HashMap;
 
@@ -23,6 +30,7 @@ use ipg_grammar::{Grammar, RuleId, SymbolId};
 use ipg_lr::ParseTree;
 
 use crate::fxhash::FxHashMap;
+use crate::rewind::RewindVec;
 
 /// Identifier of a non-terminal node in a [`Forest`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -64,7 +72,7 @@ const NO_DERIVATION: u32 = u32::MAX;
 
 /// One packed derivation in the pool: a rule, a slice of the shared
 /// children pool, and the next derivation of the same node.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct DerivationSlot {
     rule: RuleId,
     children_start: u32,
@@ -75,7 +83,7 @@ struct DerivationSlot {
 
 /// A non-terminal node: a `(symbol, start, end)` span with one or more
 /// packed derivations (stored in the forest's derivation pool).
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ForestNode {
     /// The non-terminal this node derives.
     pub symbol: SymbolId,
@@ -92,12 +100,13 @@ pub struct ForestNode {
 /// A shared packed parse forest.
 #[derive(Clone, Debug, Default)]
 pub struct Forest {
-    nodes: Vec<ForestNode>,
+    nodes: RewindVec<ForestNode>,
     /// Packed derivations of all nodes (per-node linked lists).
-    derivations: Vec<DerivationSlot>,
+    derivations: RewindVec<DerivationSlot>,
     /// Children of all derivations, in one flat pool.
-    children: Vec<ForestRef>,
+    children: RewindVec<ForestRef>,
     /// Span interning map; on the parse hot path, hence the fast hasher.
+    /// The GSS driver keeps only the current position's spans in it.
     index: FxHashMap<(SymbolId, usize, usize), NodeId>,
     roots: Vec<NodeId>,
 }
@@ -228,23 +237,67 @@ impl Forest {
             + self.children.len() * std::mem::size_of::<ForestRef>()
     }
 
-    /// Rolls the forest back to an earlier watermark: keeps the first
-    /// `nodes` nodes, `derivations` derivation slots and `children` child
-    /// entries, un-interning the spans of every dropped node and clearing
-    /// the roots (which describe a complete parse and are re-recorded when
-    /// the parse that rolled back finishes again).
+    /// Whether two forests hold the same pools and roots: the same nodes,
+    /// packed derivations and children at the same indices.
+    #[cfg(test)]
+    pub(crate) fn same_pools(&self, other: &Forest) -> bool {
+        self.nodes[..] == other.nodes[..]
+            && self.derivations[..] == other.derivations[..]
+            && self.children[..] == other.children[..]
+            && self.roots == other.roots
+    }
+
+    /// Un-interns the spans of nodes `first..`: later [`Forest::node_for`]
+    /// calls create fresh nodes for them. The GSS driver calls this as it
+    /// leaves a position, with the node count it had on entering it.
+    pub(crate) fn forget_spans_from(&mut self, first: usize) {
+        for node in &self.nodes[first..] {
+            self.index.remove(&(node.symbol, node.start, node.end));
+        }
+    }
+
+    /// Rolls the forest back to a GSS checkpoint's watermark: `nodes` nodes,
+    /// `derivations` derivation slots and `children` child entries, and no
+    /// roots (a finished parse records them again). The pools are rewound,
+    /// not truncated: [`Forest::splice`] can bring the recorded suffix back
+    /// and [`Forest::seal`] drops whatever of it a re-run did not reach.
+    /// With `log_spans` the spans the re-run overwrites are logged
+    /// ([`Forest::recorded_span`]).
     ///
     /// Sound only for watermarks taken at a GSS checkpoint: the driver
     /// creates every derivation at the token position its node *ends* at,
     /// so all data beyond a per-position watermark belongs to dropped
-    /// nodes — retained nodes never reference dropped slots.
-    pub fn truncate(&mut self, nodes: usize, derivations: usize, children: usize) {
-        for node in self.nodes.drain(nodes..) {
-            self.index.remove(&(node.symbol, node.start, node.end));
-        }
-        self.derivations.truncate(derivations);
-        self.children.truncate(children);
+    /// nodes — retained nodes never reference dropped slots — and the span
+    /// index is empty there.
+    pub(crate) fn rewind(&mut self, nodes: usize, derivations: usize, children: usize, log_spans: bool) {
+        debug_assert!(self.index.is_empty(), "spans are forgotten at every position");
+        self.nodes.rewind(nodes, log_spans.then_some(nodes));
+        self.derivations.rewind(derivations, None);
+        self.children.rewind(children, None);
         self.roots.clear();
+    }
+
+    /// The `(symbol, start, end)` span node `id` had in the run recorded
+    /// before the last span-logging [`Forest::rewind`].
+    pub(crate) fn recorded_span(&self, id: NodeId) -> Option<(SymbolId, usize, usize)> {
+        self.nodes
+            .recorded(id.index())
+            .map(|node| (node.symbol, node.start, node.end))
+    }
+
+    /// Ends a rewound re-run that converged: the recorded pools beyond the
+    /// re-run's watermarks become live again (roots are the caller's).
+    pub(crate) fn splice(&mut self) {
+        self.nodes.splice();
+        self.derivations.splice();
+        self.children.splice();
+    }
+
+    /// Ends a re-run: drops whatever recorded suffix it did not reach.
+    pub(crate) fn seal(&mut self) {
+        self.nodes.seal();
+        self.derivations.seal();
+        self.children.seal();
     }
 
     /// `true` if any node has more than one derivation (the sentence or a

@@ -34,23 +34,54 @@
 //! one checkpoint per token position, taken at the top of the driver
 //! loop, holding the pool watermarks (GSS nodes/edges, forest
 //! nodes/derivations/children) plus a snapshot of the current frontier
-//! (each node's state and edge-list head). When the token sequence is
-//! edited, [`GssParser::parse_resumed`] rolls the context back to the
-//! checkpoint at the leftmost damaged position — truncating the pools,
-//! un-seeing the dropped edges by walking the edge chains, and rebuilding
-//! the dense frontier in its recorded insertion order — and re-runs the
-//! ordinary loop from there. Because the rolled-back state is *exactly*
-//! the state a cold parse of the edited sequence reaches at that position,
-//! the resumed parse is bit-identical to a cold parse: same forest node
-//! ids, same packed derivations, same roots. Everything left of the damage
-//! (the retained forest subtrees) is reused, not rebuilt.
+//! (each node's state and edge-list head). Two lookup tables stay at
+//! frontier width: edges only ever leave current nodes and forest spans
+//! are only ever interned at the position they end, so the driver forgets
+//! each position's edge keys and spans as it moves on. A rollback
+//! therefore has nothing to un-see — it only moves watermarks.
+//!
+//! When the token sequence is edited, [`GssParser::parse_resumed`] takes
+//! the edit's [`TokenEdit`] extent and re-parses in four steps:
+//!
+//! 1. **Rewind.** Roll the context back to the checkpoint at the leftmost
+//!    damaged position: move every pool's write cursor back to the
+//!    checkpoint's watermark (keeping the recorded suffix beyond it), cut
+//!    the damage frontier's edge lists back to their recorded heads and
+//!    rebuild the dense frontier in its recorded insertion order. The
+//!    rolled-back state is *exactly* the state a cold parse of the edited
+//!    sequence reaches at that position. The re-run overwrites recorded
+//!    slots one by one; when it ends without converging, the recorded
+//!    suffix it did not reach is dropped. An edit that changes the token
+//!    count stops here: it replays the ordinary loop to the end.
+//! 2. **Log.** An edit that keeps the token count also has the GSS node,
+//!    GSS edge and forest-node pools log each recorded value they
+//!    overwrite, so the log costs O(re-run).
+//! 3. **Converge.** At each loop top past the edit, where the remaining
+//!    tokens equal the recorded run's, the run has converged when every
+//!    pool sits at the recorded checkpoint's watermark, the frontier
+//!    `(state, node, edge head)` entries match, and every GSS node and edge
+//!    reachable from the frontier that the re-run wrote equals its logged
+//!    recorded value (as do the forest spans their labels name). That is
+//!    all the rest of the run can read, so it would rewrite the recorded
+//!    suffix slot for slot (Wagner & Graham's state matching, TOPLAS 1998).
+//!    Nodes below the frontier no longer change, so the walk memoizes a
+//!    verdict per node and each check costs only what is new.
+//! 4. **Splice.** On convergence the frontier nodes get their recorded
+//!    edge heads back, every pool its recorded length, the forest its
+//!    recorded roots, and the run returns the recorded verdict.
+//!
+//! Either way the resumed parse is bit-identical to a cold parse of the
+//! edited sequence: same forest node ids, same packed derivations, same
+//! roots, same history. Everything left of the damage — and, on
+//! convergence, everything right of it — is reused, not rebuilt.
 
 use ipg_grammar::{Grammar, RuleId, SymbolId};
 use ipg_lr::{ActionCell, ParserTables, StateId};
 
 use crate::budget::{BudgetGuard, ExhaustReason, ParseBudget};
-use crate::forest::{Forest, ForestRef};
+use crate::forest::{Forest, ForestRef, NodeId};
 use crate::fxhash::FxHashSet;
+use crate::rewind::RewindVec;
 use crate::source::{SliceTokens, TokenSource};
 
 /// Statistics about one GSS parse, used by tests and the ablation bench.
@@ -170,7 +201,7 @@ impl ParseOutcome {
 /// Sentinel for "no edge" in the pooled edge lists.
 const NO_EDGE: u32 = u32::MAX;
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct GssNode {
     state: StateId,
     level: usize,
@@ -178,7 +209,7 @@ struct GssNode {
     first_edge: u32,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct GssEdge {
     target: u32,
     /// Next edge of the same source node (`NO_EDGE` terminates).
@@ -254,7 +285,7 @@ fn label_key(label: ForestRef) -> u64 {
 /// loop (before the token at that position is read): all pools are
 /// append-only between checkpoints, so a watermark per pool plus the
 /// frontier's edge-list heads is enough to roll back exactly.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Checkpoint {
     nodes: u32,
     edges: u32,
@@ -277,16 +308,17 @@ struct Checkpoint {
 /// guard this with their epoch tags and fall back to a full parse).
 #[derive(Clone, Debug, Default)]
 pub struct ParseHistory {
-    checkpoints: Vec<Checkpoint>,
+    /// One checkpoint per position up to and including the last one the
+    /// run reached: the token count when it parsed to the end-marker, or
+    /// the position where every parallel parser died.
+    checkpoints: RewindVec<Checkpoint>,
     /// Flat pool of frontier snapshots: `(state, node, saved edge-list
     /// head)` in the frontier's insertion order, which the rollback
     /// replays so the resumed run visits nodes in the same order a cold
     /// parse would.
-    frontier: Vec<(StateId, u32, u32)>,
-    /// The position of the last recorded checkpoint: the token count when
-    /// the run parsed to the end-marker, or the position where every
-    /// parallel parser died.
-    end_pos: usize,
+    frontier: RewindVec<(StateId, u32, u32)>,
+    /// The verdict of the recorded run.
+    accepted: bool,
 }
 
 impl ParseHistory {
@@ -299,7 +331,7 @@ impl ParseHistory {
     pub fn clear(&mut self) {
         self.checkpoints.clear();
         self.frontier.clear();
-        self.end_pos = 0;
+        self.accepted = false;
     }
 
     /// The furthest token position this history can resume from: the
@@ -307,7 +339,7 @@ impl ParseHistory {
     /// [`GssParser::parse_resumed`], which clamps the damage position to
     /// this).
     pub fn end_pos(&self) -> usize {
-        self.end_pos
+        self.checkpoints.len().saturating_sub(1)
     }
 
     /// Records the checkpoint for token position `pos` (loop top: pending
@@ -327,7 +359,190 @@ impl ParseHistory {
             frontier_start,
             frontier_len: entries.len() as u32,
         });
-        self.end_pos = pos;
+    }
+}
+
+/// The token extent of one edit: `old_len` tokens at `start` were
+/// replaced by `new_len` tokens, and everything after them is unchanged.
+/// [`GssParser::parse_resumed`] re-runs from `start`; when the edit keeps
+/// the token count it also watches for convergence past `start + new_len`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct TokenEdit {
+    /// Leftmost damaged token position (tokens before it are unchanged).
+    pub start: usize,
+    /// Tokens of the previous sequence the edit replaced.
+    pub old_len: usize,
+    /// Tokens the edit put in their place.
+    pub new_len: usize,
+}
+
+impl TokenEdit {
+    fn keeps_length(&self) -> bool {
+        self.old_len == self.new_len
+    }
+}
+
+/// The result of [`GssParser::parse_resumed`].
+#[derive(Clone, Copy, Debug)]
+pub struct Resumed {
+    /// The outcome of the edited sequence. Its [`GssStats`] count only the
+    /// re-run portion, which is how serving layers measure incremental
+    /// savings (`states_rerun`).
+    pub outcome: ParseOutcome,
+    /// The position the re-run started from.
+    pub from: usize,
+    /// The position where the re-run converged with the recorded run and
+    /// kept the recorded suffix, if it did before the end.
+    pub converged_at: Option<usize>,
+}
+
+/// Memo of the convergence walk, per GSS node the re-run may have touched.
+const UNKNOWN: u8 = 0;
+const MATCHES: u8 = 1;
+const DIFFERS: u8 = 2;
+const VISITING: u8 = 3;
+
+/// The bookkeeping of a same-length resume: where the pools were rewound
+/// to, what the recorded run ended with, and what the convergence walk has
+/// already established.
+#[derive(Debug, Default)]
+struct Splice {
+    active: bool,
+    /// Where the last resume converged, if it did.
+    converged_at: Option<usize>,
+    /// Loop-top positions from here on are past the edit: their tokens,
+    /// and all later ones, equal the recorded run's.
+    check_from: usize,
+    /// First GSS node the re-run may modify (the damage frontier's first).
+    nodes_base: u32,
+    /// First GSS edge the re-run writes.
+    edges_base: u32,
+    /// First forest node the re-run writes.
+    forest_base: u32,
+    /// The recorded run's roots, restored on convergence.
+    roots: Vec<NodeId>,
+    /// Per node `nodes_base + i` below the frontier: whether it, its
+    /// edges and everything reachable from it equal the recorded run.
+    /// Such nodes no longer change, so a verdict holds for the whole run.
+    verdicts: Vec<u8>,
+    /// Walk stack: `(node, next edge to compare)`.
+    stack: Vec<(u32, u32)>,
+}
+
+impl Splice {
+    /// Whether the run, at the top of the loop for `pos`, is in exactly the
+    /// state the recorded run was in there: every pool at the recorded
+    /// watermark, the same frontier, and every GSS node and edge reachable
+    /// from it (plus the forest spans their labels name) equal to the
+    /// recorded values. Everything later in the run reads only that state
+    /// and the (unchanged) remaining tokens, so it would rewrite the
+    /// recorded suffix slot for slot.
+    fn converged(
+        &mut self,
+        pos: usize,
+        nodes: &RewindVec<GssNode>,
+        edges: &RewindVec<GssEdge>,
+        forest: &Forest,
+        history: &ParseHistory,
+        frontier: &[(StateId, u32)],
+    ) -> bool {
+        if pos < self.check_from {
+            return false;
+        }
+        let Some(old) = history.checkpoints.recorded(pos) else {
+            return false;
+        };
+        if old.nodes as usize != nodes.len()
+            || old.edges as usize != edges.len()
+            || old.forest_nodes as usize != forest.num_nodes()
+            || old.forest_derivations as usize != forest.num_derivations()
+            || old.forest_children as usize != forest.num_children()
+            || old.frontier_start as usize != history.frontier.len()
+            || old.frontier_len as usize != frontier.len()
+        {
+            return false;
+        }
+        for (i, &(state, node)) in frontier.iter().enumerate() {
+            let head = nodes[node as usize].first_edge;
+            if history.frontier.recorded(old.frontier_start as usize + i) != Some((state, node, head)) {
+                return false;
+            }
+        }
+        frontier
+            .iter()
+            .all(|&(_, node)| self.reachable_matches(node, nodes, edges, forest))
+    }
+
+    /// Walks everything reachable from frontier node `root` that the re-run
+    /// wrote, comparing it with the recorded values. Edges left of
+    /// `edges_base` and nodes left of `nodes_base` are recorded-run data
+    /// the re-run never touched, so the walk stops there.
+    fn reachable_matches(
+        &mut self,
+        root: u32,
+        nodes: &RewindVec<GssNode>,
+        edges: &RewindVec<GssEdge>,
+        forest: &Forest,
+    ) -> bool {
+        debug_assert!(self.stack.is_empty());
+        self.stack.push((root, nodes[root as usize].first_edge));
+        while let Some(top) = self.stack.last_mut() {
+            let (node, e) = *top;
+            if e == NO_EDGE || e < self.edges_base {
+                self.stack.pop();
+                // The root is current: it still gains edges, so only the
+                // nodes below it get a lasting verdict.
+                if !self.stack.is_empty() {
+                    self.verdicts[(node - self.nodes_base) as usize] = MATCHES;
+                }
+                continue;
+            }
+            let edge = edges[e as usize];
+            top.1 = edge.next;
+            let span_matches = match edge.label {
+                ForestRef::Node(id) if id.index() >= self.forest_base as usize => {
+                    let node = forest.node(id);
+                    forest.recorded_span(id) == Some((node.symbol, node.start, node.end))
+                }
+                _ => true,
+            };
+            if edges.recorded(e as usize) != Some(edge) || !span_matches {
+                return self.differs();
+            }
+            let target = edge.target;
+            if target < self.nodes_base {
+                continue;
+            }
+            let slot = (target - self.nodes_base) as usize;
+            if slot >= self.verdicts.len() {
+                self.verdicts.resize(nodes.len() - self.nodes_base as usize, UNKNOWN);
+            }
+            match self.verdicts[slot] {
+                MATCHES => continue,
+                // A cycle (cyclic grammars only) is conservatively a
+                // mismatch: the run then simply replays to the end.
+                DIFFERS | VISITING => return self.differs(),
+                _ => {}
+            }
+            let current = nodes[target as usize];
+            if nodes.recorded(target as usize) != Some(current) {
+                self.verdicts[slot] = DIFFERS;
+                return self.differs();
+            }
+            self.verdicts[slot] = VISITING;
+            self.stack.push((target, current.first_edge));
+        }
+        true
+    }
+
+    /// Fails the walk: every node on the stack below the root reaches the
+    /// mismatch, for good.
+    fn differs(&mut self) -> bool {
+        for &(node, _) in &self.stack[1..] {
+            self.verdicts[(node - self.nodes_base) as usize] = DIFFERS;
+        }
+        self.stack.clear();
+        false
     }
 }
 
@@ -342,9 +557,11 @@ impl ParseHistory {
 /// allocation-free.
 #[derive(Debug, Default)]
 pub struct ParseCtx {
-    nodes: Vec<GssNode>,
-    edges: Vec<GssEdge>,
-    /// Edge de-duplication over the whole parse: `(from, to, label)`.
+    nodes: RewindVec<GssNode>,
+    edges: RewindVec<GssEdge>,
+    /// Edge de-duplication for the current position: `(from, to, label)`.
+    /// Edges only ever leave current nodes, so the driver forgets each
+    /// position's keys as it moves on.
     seen_edges: FxHashSet<(u32, u32, u64)>,
     /// Double-buffered frontiers for the current/next input position.
     cur: Frontier,
@@ -365,6 +582,8 @@ pub struct ParseCtx {
     accepting: Vec<u32>,
     /// The forest arena derivations are recorded into.
     forest: Forest,
+    /// State of a same-length resume in progress.
+    splice: Splice,
     /// A caller-owned token buffer for pre-lexed requests (filled by e.g.
     /// a sentence tokenizer, parsed via [`GssParser::parse_buffered`]).
     /// Not parse scratch: [`ParseCtx::reset`] leaves it alone.
@@ -394,6 +613,7 @@ impl ParseCtx {
         self.actions.clear();
         self.accepting.clear();
         self.forest.clear();
+        self.splice.active = false;
     }
 
     /// The forest of the most recent parse run in this context (empty
@@ -411,60 +631,61 @@ impl ParseCtx {
     }
 
     /// Rolls this context back to the state `history` recorded at token
-    /// position `pos`, and truncates the history so the resumed run
-    /// re-records from there. After this the context is bit-identical to a
-    /// cold parse of the same token prefix paused at the top of the loop
-    /// for position `pos`.
-    fn restore(&mut self, history: &mut ParseHistory, pos: usize) {
+    /// position `pos`, so that it is bit-identical to a cold parse of the
+    /// same token prefix paused at the top of the loop for `pos`.
+    ///
+    /// Every pool (and the history) is rewound to the checkpoint, keeping
+    /// the recorded suffix beyond it; whatever suffix the re-run does not
+    /// reach is dropped when it ends. A same-length `edit` additionally
+    /// logs the overwritten values and arms the convergence check.
+    fn restore(&mut self, history: &mut ParseHistory, pos: usize, edit: TokenEdit) {
         let cp = history.checkpoints[pos];
         let fr_start = cp.frontier_start as usize;
         let fr_end = fr_start + cp.frontier_len as usize;
-
-        // Un-see every edge added after the checkpoint. Each such edge
-        // hangs off either a node created after the checkpoint (its whole
-        // chain is post-checkpoint) or a checkpoint-frontier node (the
-        // chain prefix above the saved head is post-checkpoint) — only
-        // frontier nodes can gain edges while they are current.
-        for &(_, node, saved_head) in &history.frontier[fr_start..fr_end] {
-            let mut e = self.nodes[node as usize].first_edge;
-            while e != saved_head {
-                let edge = self.edges[e as usize];
-                self.seen_edges.remove(&(node, edge.target, label_key(edge.label)));
-                e = edge.next;
-            }
-            self.nodes[node as usize].first_edge = saved_head;
-        }
-        for idx in cp.nodes as usize..self.nodes.len() {
-            let mut e = self.nodes[idx].first_edge;
-            while e != NO_EDGE {
-                let edge = self.edges[e as usize];
-                self.seen_edges.remove(&(idx as u32, edge.target, label_key(edge.label)));
-                e = edge.next;
-            }
-        }
-        self.nodes.truncate(cp.nodes as usize);
-        self.edges.truncate(cp.edges as usize);
-        self.forest.truncate(
+        debug_assert!(self.seen_edges.is_empty(), "keys are forgotten at every position");
+        let same_length = edit.keeps_length();
+        // The damage frontier was the last thing the shifter created before
+        // the checkpoint; its nodes are the only older ones the re-run
+        // modifies (by adding this position's edges to them).
+        let touched_from = cp.nodes - cp.frontier_len;
+        self.nodes
+            .rewind(cp.nodes as usize, same_length.then_some(touched_from as usize));
+        self.edges
+            .rewind(cp.edges as usize, same_length.then_some(cp.edges as usize));
+        let splice = &mut self.splice;
+        splice.active = same_length;
+        splice.converged_at = None;
+        splice.check_from = edit.start + edit.new_len;
+        splice.nodes_base = touched_from;
+        splice.edges_base = cp.edges;
+        splice.forest_base = cp.forest_nodes;
+        splice.roots.clear();
+        splice.roots.extend_from_slice(self.forest.roots());
+        splice.verdicts.clear();
+        self.forest.rewind(
             cp.forest_nodes as usize,
             cp.forest_derivations as usize,
             cp.forest_children as usize,
+            same_length,
         );
 
-        // Rebuild the dense frontier for `pos` in recorded insertion
-        // order; everything else at loop top is empty.
+        // Rebuild the dense frontier for `pos` in recorded insertion order,
+        // with each node's edge list cut back to its recorded head;
+        // everything else at loop top is empty.
         self.cur.clear();
         self.nxt.clear();
         self.pending.clear();
         self.accepting.clear();
-        for &(state, node, _) in &history.frontier[fr_start..fr_end] {
+        for &(state, node, head) in &history.frontier[fr_start..fr_end] {
+            debug_assert!(node >= touched_from);
+            self.nodes[node as usize].first_edge = head;
             self.cur.insert(state, node);
         }
 
-        // Drop the checkpoints at and beyond `pos`; the resumed run
-        // re-records them (identically for `pos` itself).
-        history.checkpoints.truncate(pos);
-        history.frontier.truncate(fr_start);
-        history.end_pos = pos;
+        // The resumed run re-records the checkpoints from `pos` on
+        // (identically for `pos` itself).
+        history.checkpoints.rewind(pos, None);
+        history.frontier.rewind(fr_start, None);
     }
 }
 
@@ -528,7 +749,7 @@ impl<'g> GssParser<'g> {
         tokens: &[SymbolId],
         budget: ParseBudget,
     ) -> ParseOutcome {
-        match self.run(ctx, tables, SliceTokens::new(tokens), true, None, 0, budget) {
+        match self.run(ctx, tables, SliceTokens::new(tokens), true, None, None, budget) {
             Ok(outcome) => outcome,
             Err(infallible) => match infallible {},
         }
@@ -547,7 +768,7 @@ impl<'g> GssParser<'g> {
             SliceTokens::new(tokens),
             false,
             None,
-            0,
+            None,
             ParseBudget::UNLIMITED,
         ) {
             Ok(outcome) => outcome,
@@ -587,7 +808,7 @@ impl<'g> GssParser<'g> {
             SliceTokens::new(tokens),
             true,
             Some(history),
-            0,
+            None,
             budget,
         ) {
             Ok(outcome) => outcome,
@@ -596,28 +817,29 @@ impl<'g> GssParser<'g> {
     }
 
     /// Re-parses an edited token sequence by rolling `ctx` back to the
-    /// recorded checkpoint at `damage` (clamped to the history's reach and
-    /// the new length) and running the ordinary driver loop from there.
+    /// recorded checkpoint at `edit.start` (clamped to the history's reach
+    /// and the new length) and running the ordinary driver loop from there.
+    ///
+    /// When the edit keeps the token count, the re-run stops at the first
+    /// position past the edit where its state provably equals the recorded
+    /// run's (see the module docs) and keeps the recorded suffix instead of
+    /// rebuilding it; other edits replay to the end.
     ///
     /// Requirements: `ctx` and `history` hold the previous
     /// [`GssParser::parse_recorded`]/resumed run, `tables` is the same
-    /// table state it ran against, and `tokens[..damage]` equals the
-    /// previous sequence's prefix of that length. The result is then
+    /// table state it ran against, and `edit` describes how `tokens`
+    /// differs from the previous sequence. The result is then
     /// bit-identical to a cold [`GssParser::parse_recorded`] of `tokens`
     /// (and leaves `ctx`/`history` ready for the next resume).
-    ///
-    /// Returns the outcome and the position actually resumed from; the
-    /// outcome's [`GssStats`] count only the re-run portion, which is how
-    /// serving layers measure incremental savings (`states_rerun`).
     pub fn parse_resumed(
         &self,
         ctx: &mut ParseCtx,
         tables: &dyn ParserTables,
         tokens: &[SymbolId],
         history: &mut ParseHistory,
-        damage: usize,
-    ) -> (ParseOutcome, usize) {
-        self.parse_resumed_budgeted(ctx, tables, tokens, history, damage, ParseBudget::UNLIMITED)
+        edit: TokenEdit,
+    ) -> Resumed {
+        self.parse_resumed_budgeted(ctx, tables, tokens, history, edit, ParseBudget::UNLIMITED)
     }
 
     /// [`GssParser::parse_resumed`] under a [`ParseBudget`]. An exhausted
@@ -629,17 +851,21 @@ impl<'g> GssParser<'g> {
         tables: &dyn ParserTables,
         tokens: &[SymbolId],
         history: &mut ParseHistory,
-        damage: usize,
+        edit: TokenEdit,
         budget: ParseBudget,
-    ) -> (ParseOutcome, usize) {
-        let resume = damage.min(history.end_pos()).min(tokens.len());
-        ctx.restore(history, resume);
-        let source = SliceTokens::new(&tokens[resume..]);
-        let outcome = match self.run(ctx, tables, source, true, Some(history), resume, budget) {
+    ) -> Resumed {
+        let from = edit.start.min(history.end_pos()).min(tokens.len());
+        ctx.restore(history, from, edit);
+        let source = SliceTokens::new(&tokens[from..]);
+        let outcome = match self.run(ctx, tables, source, true, Some(history), Some(from), budget) {
             Ok(outcome) => outcome,
             Err(infallible) => match infallible {},
         };
-        (outcome, resume)
+        Resumed {
+            outcome,
+            from,
+            converged_at: ctx.splice.converged_at,
+        }
     }
 
     /// Parses the sentence previously placed in [`ParseCtx::tokens`] —
@@ -674,7 +900,7 @@ impl<'g> GssParser<'g> {
         tables: &dyn ParserTables,
         source: S,
     ) -> Result<ParseOutcome, S::Error> {
-        self.run(ctx, tables, source, true, None, 0, ParseBudget::UNLIMITED)
+        self.run(ctx, tables, source, true, None, None, ParseBudget::UNLIMITED)
     }
 
     /// [`GssParser::parse_stream`] under a [`ParseBudget`] — the budgeted
@@ -686,7 +912,7 @@ impl<'g> GssParser<'g> {
         source: S,
         budget: ParseBudget,
     ) -> Result<ParseOutcome, S::Error> {
-        self.run(ctx, tables, source, true, None, 0, budget)
+        self.run(ctx, tables, source, true, None, None, budget)
     }
 
     /// Recognises a streamed token source (no forest construction).
@@ -696,17 +922,16 @@ impl<'g> GssParser<'g> {
         tables: &dyn ParserTables,
         source: S,
     ) -> Result<ParseOutcome, S::Error> {
-        self.run(ctx, tables, source, false, None, 0, ParseBudget::UNLIMITED)
+        self.run(ctx, tables, source, false, None, None, ParseBudget::UNLIMITED)
     }
 
     /// The driver loop. `record` enables checkpoint recording; `resume_at`
-    /// is the token position the context is positioned at (0 = fresh run,
-    /// which resets the context; otherwise [`ParseCtx::restore`] has
-    /// already rolled it back and `source` yields the tokens from
-    /// `resume_at` on). `budget` is consulted through an amortized
-    /// [`BudgetGuard`] — one work unit per token and per reduction path
-    /// (shifts are counted in bulk) — so the unlimited warm path pays a
-    /// counter bump and a never-taken branch.
+    /// is `None` for a fresh run (which resets the context), or the token
+    /// position [`ParseCtx::restore`] has already rolled the context back
+    /// to (`source` then yields the tokens from there on). `budget` is
+    /// consulted through an amortized [`BudgetGuard`] — one work unit per
+    /// token and per reduction path (shifts are counted in bulk) — so the
+    /// unlimited warm path pays a counter bump and a never-taken branch.
     #[allow(clippy::too_many_arguments)]
     fn run<S: TokenSource>(
         &self,
@@ -715,10 +940,10 @@ impl<'g> GssParser<'g> {
         mut source: S,
         build_forest: bool,
         mut record: Option<&mut ParseHistory>,
-        resume_at: usize,
+        resume_at: Option<usize>,
         budget: ParseBudget,
     ) -> Result<ParseOutcome, S::Error> {
-        if resume_at == 0 {
+        if resume_at.is_none() {
             ctx.reset();
         }
         let eof = self.grammar.eof_symbol();
@@ -739,10 +964,11 @@ impl<'g> GssParser<'g> {
             actions,
             accepting,
             forest,
+            splice,
             tokens: _,
         } = ctx;
 
-        if resume_at == 0 {
+        if resume_at.is_none() {
             let start_node = push_node(nodes, &mut stats, tables.start_state(), 0);
             cur.insert(tables.start_state(), start_node);
         }
@@ -751,9 +977,35 @@ impl<'g> GssParser<'g> {
         let start_node = 0u32;
         debug_assert!(!nodes.is_empty() && !cur.is_empty());
 
-        let mut pos = resume_at;
+        let mut pos = resume_at.unwrap_or(0);
         loop {
+            // Watermarks of this position's edges and forest spans, which
+            // are forgotten when the loop moves on.
+            let (edges_mark, spans_mark) = (edges.len(), forest.num_nodes());
             if let Some(history) = record.as_deref_mut() {
+                if splice.active && splice.converged(pos, nodes, edges, forest, history, &cur.entries) {
+                    // The recorded run went on to add this position's
+                    // edges to the frontier nodes; keep its suffix.
+                    for &(_, node) in &cur.entries {
+                        let recorded = nodes.recorded(node as usize).expect("frontier node is logged");
+                        nodes[node as usize].first_edge = recorded.first_edge;
+                    }
+                    nodes.splice();
+                    edges.splice();
+                    forest.splice();
+                    for &root in &splice.roots {
+                        forest.add_root(root);
+                    }
+                    history.checkpoints.splice();
+                    history.frontier.splice();
+                    splice.active = false;
+                    splice.converged_at = Some(pos);
+                    return Ok(ParseOutcome::Done {
+                        accepted: history.accepted,
+                        stats,
+                        grammar_version: tables.grammar_version(),
+                    });
+                }
                 history.record(pos, nodes, edges.len(), forest, &cur.entries);
             }
             crate::fault::point("mid-gss");
@@ -901,6 +1153,7 @@ impl<'g> GssParser<'g> {
             // On the end-marker there is nothing to shift; acceptance has
             // been decided above.
             if symbol == eof {
+                forget_position(seen_edges, nodes, edges, &cur.entries, edges_mark, forest, spans_mark);
                 break;
             }
 
@@ -924,18 +1177,14 @@ impl<'g> GssParser<'g> {
                             created
                         }
                     };
-                    add_edge(
-                        nodes,
-                        edges,
-                        seen_edges,
-                        &mut stats,
-                        target_node,
-                        node,
-                        leaf,
-                    );
+                    // Each current node shifts at most once, so a shift
+                    // edge is never a duplicate (and its terminal label
+                    // never equals a reduction's).
+                    push_edge(nodes, edges, &mut stats, target_node, node, leaf);
                 }
             }
             guard.add(stats.shifts as u64 - shifts_before);
+            forget_position(seen_edges, nodes, edges, &cur.entries, edges_mark, forest, spans_mark);
             if nxt.is_empty() {
                 // Every parallel parser died: the input is rejected. (The
                 // accept flag can only have been set on the end-marker.)
@@ -950,6 +1199,17 @@ impl<'g> GssParser<'g> {
             for &node in accepting.iter() {
                 record_roots(nodes, edges, node, start_node, forest);
             }
+        }
+        // A re-run that got here did not converge: whatever recorded
+        // suffix it did not overwrite is stale.
+        nodes.seal();
+        edges.seal();
+        forest.seal();
+        splice.active = false;
+        if let Some(history) = record {
+            history.checkpoints.seal();
+            history.frontier.seal();
+            history.accepted = accepted;
         }
 
         Ok(ParseOutcome::Done {
@@ -967,7 +1227,7 @@ fn gss_bytes(nodes: &[GssNode], edges: &[GssEdge]) -> usize {
 }
 
 fn push_node(
-    nodes: &mut Vec<GssNode>,
+    nodes: &mut RewindVec<GssNode>,
     stats: &mut GssStats,
     state: StateId,
     level: usize,
@@ -985,7 +1245,7 @@ fn push_node(
 /// Returns whether the edge was new.
 fn add_edge(
     nodes: &mut [GssNode],
-    edges: &mut Vec<GssEdge>,
+    edges: &mut RewindVec<GssEdge>,
     seen: &mut FxHashSet<(u32, u32, u64)>,
     stats: &mut GssStats,
     from: u32,
@@ -995,6 +1255,18 @@ fn add_edge(
     if !seen.insert((from, to, label_key(label))) {
         return false;
     }
+    push_edge(nodes, edges, stats, from, to, label);
+    true
+}
+
+fn push_edge(
+    nodes: &mut [GssNode],
+    edges: &mut RewindVec<GssEdge>,
+    stats: &mut GssStats,
+    from: u32,
+    to: u32,
+    label: ForestRef,
+) {
     let node = &mut nodes[from as usize];
     edges.push(GssEdge {
         target: to,
@@ -1003,7 +1275,35 @@ fn add_edge(
     });
     node.first_edge = (edges.len() - 1) as u32;
     stats.edges += 1;
-    true
+}
+
+/// Leaves a position: forgets the de-duplication keys of the edges its
+/// reducer added (all on current nodes, at or above `edges_mark`, at the
+/// head of each chain) and the forest spans it interned (nodes from
+/// `spans_mark` on). Both tables then hold nothing, so they stay at
+/// frontier width and a rollback has nothing to un-see.
+#[allow(clippy::too_many_arguments)]
+fn forget_position(
+    seen: &mut FxHashSet<(u32, u32, u64)>,
+    nodes: &[GssNode],
+    edges: &[GssEdge],
+    frontier: &[(StateId, u32)],
+    edges_mark: usize,
+    forest: &mut Forest,
+    spans_mark: usize,
+) {
+    if !seen.is_empty() {
+        for &(_, node) in frontier {
+            let mut e = nodes[node as usize].first_edge;
+            while e != NO_EDGE && e as usize >= edges_mark {
+                let edge = edges[e as usize];
+                seen.remove(&(node, edge.target, label_key(edge.label)));
+                e = edge.next;
+            }
+        }
+        debug_assert!(seen.is_empty());
+    }
+    forest.forget_spans_from(spans_mark);
 }
 
 /// When an accepting state is reached, every edge from it back to the start
@@ -1320,9 +1620,41 @@ mod tests {
         )
     }
 
+    /// The edit turning `base` into `edited`, with its damage taken to start
+    /// at `start` (at most their common prefix) and to end where their
+    /// longest common suffix that still fits begins.
+    fn edit_from(base: &[SymbolId], edited: &[SymbolId], start: usize) -> TokenEdit {
+        let suffix = base
+            .iter()
+            .rev()
+            .zip(edited.iter().rev())
+            .take_while(|(a, b)| a == b)
+            .count()
+            .min(base.len().min(edited.len()) - start);
+        TokenEdit {
+            start,
+            old_len: base.len() - start - suffix,
+            new_len: edited.len() - start - suffix,
+        }
+    }
+
+    /// Asserts that a context/history pair holds exactly the pools of
+    /// another, entry for entry.
+    fn assert_same_pools(ctx: &ParseCtx, history: &ParseHistory, cold: &ParseCtx, cold_history: &ParseHistory, what: &str) {
+        assert_eq!(ctx.nodes[..], cold.nodes[..], "{what}: GSS nodes");
+        assert_eq!(ctx.edges[..], cold.edges[..], "{what}: GSS edges");
+        assert!(ctx.forest.same_pools(&cold.forest), "{what}: forest pools");
+        assert_eq!(history.checkpoints[..], cold_history.checkpoints[..], "{what}: checkpoints");
+        assert_eq!(history.frontier[..], cold_history.frontier[..], "{what}: frontier snapshots");
+        assert_eq!(history.accepted, cold_history.accepted, "{what}: verdict");
+        assert!(ctx.seen_edges.is_empty(), "{what}: edge keys are per position");
+    }
+
     /// For every prefix-damage position, edit `base` into `edited` via a
-    /// resumed parse and check it matches a cold parse of `edited` exactly.
-    fn check_resume(g: &Grammar, base: &str, edited: &str) {
+    /// resumed parse and check it matches a cold parse of `edited` exactly
+    /// — same digest and the same pools entry for entry. Returns how many
+    /// of the resumes converged before the end.
+    fn check_resume(g: &Grammar, base: &str, edited: &str) -> usize {
         let table = lr0_table(g);
         let parser = GssParser::new(g);
         let base_tokens = tokenize_names(g, base).unwrap();
@@ -1336,23 +1668,51 @@ mod tests {
         let mut cold_history = ParseHistory::new();
         let cold = parser.parse_recorded(&mut cold_ctx, &table, &edited_tokens, &mut cold_history);
         let want = digest(g, cold.accepted(), cold_ctx.forest());
+        let mut converged = 0;
         for damage in 0..=common {
+            let edit = edit_from(&base_tokens, &edited_tokens, damage);
             let mut ctx = ParseCtx::new();
             let mut history = ParseHistory::new();
             parser.parse_recorded(&mut ctx, &table, &base_tokens, &mut history);
-            let (outcome, resumed) =
-                parser.parse_resumed(&mut ctx, &table, &edited_tokens, &mut history, damage);
-            assert!(resumed <= damage);
-            assert_eq!(
-                digest(g, outcome.accepted(), ctx.forest()),
-                want,
-                "`{base}` -> `{edited}` resumed at {resumed} (damage {damage})"
-            );
+            let resumed = parser.parse_resumed(&mut ctx, &table, &edited_tokens, &mut history, edit);
+            let what = format!("`{base}` -> `{edited}` resumed at {} (damage {damage})", resumed.from);
+            assert!(resumed.from <= damage);
+            assert_eq!(digest(g, resumed.outcome.accepted(), ctx.forest()), want, "{what}");
+            assert_same_pools(&ctx, &history, &cold_ctx, &cold_history, &what);
+            converged += usize::from(resumed.converged_at.is_some());
             // The rolled-forward history must itself support further
-            // resumes: replay the same edit once more at the same damage.
-            let (again, _) =
-                parser.parse_resumed(&mut ctx, &table, &edited_tokens, &mut history, damage);
-            assert_eq!(digest(g, again.accepted(), ctx.forest()), want, "second resume");
+            // resumes: replay the same edit once more at the same damage
+            // (a same-length edit then converges with what it recorded).
+            let again = parser.parse_resumed(&mut ctx, &table, &edited_tokens, &mut history, edit_from(&edited_tokens, &edited_tokens, damage));
+            assert_eq!(digest(g, again.outcome.accepted(), ctx.forest()), want, "second resume");
+            assert_same_pools(&ctx, &history, &cold_ctx, &cold_history, "second resume");
+        }
+        converged
+    }
+
+    /// A same-token-count substitution: resumes from every damage position
+    /// match the cold parse pool for pool, and the resume from the actual
+    /// damage converges before the end.
+    fn check_converging_substitution(g: &Grammar, base: &str, edited: &str) {
+        assert_eq!(base.split_whitespace().count(), edited.split_whitespace().count());
+        assert!(check_resume(g, base, edited) > 0, "`{base}` -> `{edited}` never converged");
+        // Edit back and forth in one context: every resume starts from a
+        // spliced state and must still match its cold parse.
+        let table = lr0_table(g);
+        let parser = GssParser::new(g);
+        let (a, b) = (tokenize_names(g, base).unwrap(), tokenize_names(g, edited).unwrap());
+        let start = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
+        let mut ctx = ParseCtx::new();
+        let mut history = ParseHistory::new();
+        parser.parse_recorded(&mut ctx, &table, &a, &mut history);
+        for round in 0..4 {
+            let (from, to) = if round % 2 == 0 { (&a, &b) } else { (&b, &a) };
+            let resumed = parser.parse_resumed(&mut ctx, &table, to, &mut history, edit_from(from, to, start));
+            assert!(resumed.converged_at.is_some(), "round {round} converged");
+            let mut cold_ctx = ParseCtx::new();
+            let mut cold_history = ParseHistory::new();
+            parser.parse_recorded(&mut cold_ctx, &table, to, &mut cold_history);
+            assert_same_pools(&ctx, &history, &cold_ctx, &cold_history, &format!("round {round}"));
         }
     }
 
@@ -1414,15 +1774,61 @@ mod tests {
         let mut history = ParseHistory::new();
         parser.parse_recorded(&mut ctx, &table, &base, &mut history);
         assert_eq!(history.end_pos(), base.len());
-        let (outcome, resumed) =
-            parser.parse_resumed(&mut ctx, &table, &edited, &mut history, base.len());
-        assert_eq!(resumed, base.len());
-        assert!(outcome.accepted());
+        let resumed = parser.parse_resumed(&mut ctx, &table, &edited, &mut history, edit_from(&base, &edited, base.len()));
+        assert_eq!(resumed.from, base.len());
+        assert!(resumed.outcome.accepted());
         let cold = parser.parse(&table, &edited);
         assert_eq!(
             ctx.forest().first_tree().map(|t| t.to_sexpr(&g)),
             cold.forest.first_tree().map(|t| t.to_sexpr(&g))
         );
+    }
+
+    #[test]
+    fn substitution_converges_booleans() {
+        let g = fixtures::booleans();
+        check_converging_substitution(&g, "true or false and true or true", "true or true and true or true");
+        check_converging_substitution(&g, "false and true", "true and true");
+        check_converging_substitution(&g, "true or false or true", "true or true or true");
+    }
+
+    #[test]
+    fn substitution_converges_ambiguous_expressions() {
+        let g = fixtures::ambiguous_expressions();
+        check_converging_substitution(&g, "( id + id ) * id", "( id * id ) * id");
+        check_converging_substitution(&g, "id * ( id + id ) + id", "id * ( id * id ) + id");
+        // An ambiguous chain keeps its operators on the stack until the
+        // end (the right-nested parses reduce last), so this one replays
+        // to the end — and must still match the cold parse.
+        check_resume(&g, "id + id * id + id", "id * id * id + id");
+    }
+
+    #[test]
+    fn substitution_converges_epsilon_rules() {
+        // Every prefix of a palindrome may still be its first half, so a
+        // substituted token stays on the stack until the end: a real
+        // substitution replays to the end...
+        let g = fixtures::palindromes();
+        check_resume(&g, "a b a a b a", "a a a a a a");
+        check_resume(&g, "b a a b", "b b b b");
+        // ...while retyping a token with itself converges one token later,
+        // through the epsilon reductions at every position.
+        let table = lr0_table(&g);
+        let parser = GssParser::new(&g);
+        let tokens = tokenize_names(&g, "a b b a b b a").unwrap();
+        let mut cold_ctx = ParseCtx::new();
+        let mut cold_history = ParseHistory::new();
+        parser.parse_recorded(&mut cold_ctx, &table, &tokens, &mut cold_history);
+        let mut ctx = ParseCtx::new();
+        let mut history = ParseHistory::new();
+        parser.parse_recorded(&mut ctx, &table, &tokens, &mut history);
+        for start in 0..tokens.len() {
+            let edit = TokenEdit { start, old_len: 1, new_len: 1 };
+            let resumed = parser.parse_resumed(&mut ctx, &table, &tokens, &mut history, edit);
+            assert_eq!(resumed.converged_at, Some(start + 1), "retype at {start}");
+            assert_eq!(resumed.outcome.accepted(), cold_history.accepted);
+            assert_same_pools(&ctx, &history, &cold_ctx, &cold_history, &format!("retype at {start}"));
+        }
     }
 
     #[test]

@@ -39,11 +39,14 @@ pub mod forest;
 pub mod fxhash;
 pub mod gss;
 pub mod pool;
+mod rewind;
 pub mod source;
 
 pub use budget::{ExhaustReason, ParseBudget};
 pub use fault::FaultPlan;
 pub use forest::{Derivation, Derivations, Forest, ForestNode, ForestRef, NodeId};
-pub use gss::{GssParseResult, GssParser, GssStats, ParseCtx, ParseHistory, ParseOutcome};
+pub use gss::{
+    GssParseResult, GssParser, GssStats, ParseCtx, ParseHistory, ParseOutcome, Resumed, TokenEdit,
+};
 pub use pool::{PoolCtx, PoolError, PoolGlrParser, PoolStats};
 pub use source::{SliceTokens, TokenSource};

@@ -229,8 +229,16 @@ impl Scanner {
             Some(jr) => {
                 let out = outcome(recs[jr].tokens_before - tokens_at_damage);
                 let token_delta = tokens as i64 - recs[jr].tokens_before as i64;
+                let unshifted = delta_chars == 0 && delta_bytes == 0 && token_delta == 0;
                 let mut running_max = examined_max;
                 for r in &mut recs[jr..] {
+                    // A same-length edit moves nothing: once the running
+                    // examined maximum agrees with a record's, it agrees
+                    // with every later one, so the rest of the suffix is
+                    // already exact and the splice stays O(damage).
+                    if unshifted && r.examined_max == running_max.max(r.examined_end) {
+                        break;
+                    }
                     r.char_start = (r.char_start as isize + delta_chars) as usize;
                     r.byte_start = (r.byte_start as isize + delta_bytes) as usize;
                     r.examined_end = (r.examined_end as isize + delta_chars) as usize;

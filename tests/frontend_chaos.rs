@@ -9,12 +9,14 @@
 //! accounting drift through the panic path. Also exercises the `CANCEL`
 //! verb's note-and-consume round trip.
 //!
-//! Fault arming is process-global, so every test here serializes on one
-//! mutex; the panic hook is silenced for injected faults only.
+//! The faults must fire on the frontend's worker threads, so every test
+//! here arms through the process-wide slot (`ipg_glr::fault::process_wide`),
+//! which serializes them; the panic hook is silenced for injected faults
+//! only.
 
 use std::io::BufReader;
 use std::net::TcpStream;
-use std::sync::{Mutex, Once};
+use std::sync::Once;
 use std::thread;
 use std::time::Duration;
 
@@ -23,9 +25,6 @@ use ipg_frontend::protocol::{read_response, write_request, Status, Verb, DEFAULT
 use ipg_frontend::{Client, Frontend, FrontendConfig, ShutdownMode};
 use ipg_grammar::fixtures;
 use ipg_lexer::simple_scanner;
-
-/// Serializes the tests in this file: fault plans are process-global.
-static CHAOS: Mutex<()> = Mutex::new(());
 
 /// Silences the default panic hook for injected faults (they are caught
 /// and answered; their backtraces are noise), leaving real panics loud.
@@ -79,9 +78,8 @@ fn connect(frontend: &Frontend) -> Client {
 /// equals every executed (OK or ERROR) request exactly once.
 #[test]
 fn a_panic_at_every_labeled_site_is_contained() {
-    let _guard = CHAOS.lock().unwrap_or_else(|p| p.into_inner());
+    let faults = ipg_glr::fault::process_wide();
     quiet_injected_panics();
-    ipg_glr::fault::disarm();
 
     let frontend = chaos_frontend(2);
     let mut client = connect(&frontend);
@@ -90,7 +88,7 @@ fn a_panic_at_every_labeled_site_is_contained() {
     // The wire-path sites: pin, GSS loop, forest growth. An ambiguous
     // sentence guarantees the forest site is reached.
     for site in ["post-pin", "mid-gss", "forest-grow"] {
-        FaultPlan::new().fail(site, 1).arm();
+        faults.arm(FaultPlan::new().fail(site, 1));
         let response = client
             .parse_text("true or true or true", 0)
             .expect("a panicked parse still gets exactly one reply");
@@ -101,7 +99,7 @@ fn a_panic_at_every_labeled_site_is_contained() {
             "site {site}: reply names the quarantine, got `{message}`"
         );
         errors += 1;
-        ipg_glr::fault::disarm();
+        faults.disarm();
 
         // The very next request on the same connection parses fine: the
         // worker survived and a fresh context replaced the quarantined one.
@@ -119,13 +117,13 @@ fn a_panic_at_every_labeled_site_is_contained() {
     assert!(accepted);
     ok += 1;
 
-    FaultPlan::new().fail("relex", 1).arm();
+    faults.arm(FaultPlan::new().fail("relex", 1));
     let response = client
         .parse_delta(doc_id, 0, 4, "false", 0)
         .expect("a panicked edit still gets exactly one reply");
     assert_eq!(response.status, Status::Error);
     errors += 1;
-    ipg_glr::fault::disarm();
+    faults.disarm();
 
     // The poisoned session recovers: the next edit full-rebuilds and
     // accepts.
@@ -176,9 +174,8 @@ fn a_panic_at_every_labeled_site_is_contained() {
 /// and the ack itself is an `OK` that only means "noted".
 #[test]
 fn cancel_notes_answer_queued_requests_definitively() {
-    let _guard = CHAOS.lock().unwrap_or_else(|p| p.into_inner());
+    let _faults = ipg_glr::fault::process_wide();
     quiet_injected_panics();
-    ipg_glr::fault::disarm();
 
     let frontend = chaos_frontend(1);
     let mut stream = TcpStream::connect(frontend.local_addr()).expect("connect");
@@ -224,14 +221,13 @@ fn cancel_notes_answer_queued_requests_definitively() {
 /// accounting.
 #[test]
 fn a_panic_storm_leaks_no_accounting() {
-    let _guard = CHAOS.lock().unwrap_or_else(|p| p.into_inner());
+    let faults = ipg_glr::fault::process_wide();
     quiet_injected_panics();
-    ipg_glr::fault::disarm();
 
     let frontend = chaos_frontend(2);
     let panics = 8usize;
     let total = 32usize;
-    FaultPlan::new().fail("mid-gss", panics as u32).arm();
+    faults.arm(FaultPlan::new().fail("mid-gss", panics as u32));
 
     let mut stream = TcpStream::connect(frontend.local_addr()).expect("connect");
     stream
@@ -255,7 +251,7 @@ fn a_panic_storm_leaks_no_accounting() {
             other => panic!("unexpected status {other:?}"),
         }
     }
-    ipg_glr::fault::disarm();
+    faults.disarm();
     assert_eq!(errors, panics, "exactly the armed panics surfaced as errors");
     assert_eq!(ok, total - panics);
 

@@ -6,13 +6,16 @@
 //! before the drain must be present in the surviving server — verified by
 //! digest against a cold oracle session, the same equivalence the
 //! `epoch_equivalence` suite uses.
+//!
+//! The drain bound holds however eagerly clients retry: a connection is
+//! answered `SHUTTING_DOWN` at most once and then closed.
 
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use ipg::{IpgServer, IpgSession};
 use ipg_frontend::protocol::{read_response, write_request, Status, Verb, DEFAULT_MAX_FRAME};
@@ -29,6 +32,11 @@ fn boolean_server() -> Arc<IpgServer> {
             .with_scanner(simple_scanner(&["true", "false", "or", "and"])),
     )
 }
+
+/// How long a drain may take: the admitted slow parses (milliseconds each)
+/// plus one 100 ms read timeout for each idle reader, with ample slack for
+/// a loaded debug build.
+const DRAIN_BOUND: Duration = Duration::from_secs(5);
 
 fn slow_input() -> String {
     let mut input = String::from("true");
@@ -109,20 +117,36 @@ fn drain_races_pinned_parses_and_a_wire_edit_without_losing_either() {
     thread::sleep(Duration::from_millis(250));
     let (tx, rx) = mpsc::channel();
     let drainer = thread::spawn(move || {
-        tx.send(frontend.shutdown(ShutdownMode::Drain)).unwrap();
+        let started = Instant::now();
+        let stats = frontend.shutdown(ShutdownMode::Drain);
+        tx.send((stats, started.elapsed())).unwrap();
     });
-    let stats = rx
+    let (stats, drain_time) = rx
         .recv_timeout(Duration::from_secs(30))
-        .expect("shutdown drains within the bound instead of deadlocking");
+        .expect("shutdown drains instead of deadlocking");
     drainer.join().unwrap();
+    assert!(
+        drain_time < DRAIN_BOUND,
+        "the drain took {drain_time:?}, over its {DRAIN_BOUND:?} bound"
+    );
 
     stop.store(true, Ordering::Release);
-    let mut served_total = 0u64;
+    let (mut served_total, mut refused_total) = (0u64, 0u64);
     for parser in parsers {
-        let (served, _refused) = parser.join().unwrap();
+        let (served, refused) = parser.join().unwrap();
+        assert!(refused <= 1, "a connection is refused at most once, then closed");
         served_total += served;
+        refused_total += refused;
     }
     let edit_status = editor.join().unwrap();
+    // Exactly one reply per request: every SHUTTING_DOWN the frontend
+    // sent reached a client, once.
+    let edit_refused = u64::from(edit_status == Status::ShuttingDown);
+    assert_eq!(
+        stats.shed_shutdown as u64,
+        refused_total + edit_refused,
+        "refusals sent vs refusals received"
+    );
 
     assert!(served_total > 0, "parses were in flight during the run");
     // The frontend executed every request the clients saw served (plus

@@ -74,6 +74,39 @@ fn edit_strategy() -> impl Strategy<Value = EditSpec> {
         .prop_map(|(at, del, repl)| EditSpec { at, del, repl })
 }
 
+/// A substitution of `to.len()` consecutive tokens, starting at token `at`
+/// (modulo the document's token count), by the terminals `to`. It keeps
+/// the token count, so the incremental path resumes with convergence.
+#[derive(Clone, Debug)]
+struct Substitution {
+    at: usize,
+    to: Vec<usize>,
+}
+
+impl Substitution {
+    /// The byte splice of a `tokens`-token document (one-letter terminals,
+    /// one space apart), as an [`EditSpec`].
+    fn resolve(&self, tokens: usize) -> EditSpec {
+        let first = self.at % tokens;
+        let count = self.to.len().min(tokens - first);
+        let repl = self.to[..count]
+            .iter()
+            .flat_map(|&c| [3, c])
+            .skip(1)
+            .collect();
+        EditSpec {
+            at: 2 * first,
+            del: 2 * count - 1,
+            repl,
+        }
+    }
+}
+
+fn substitution_strategy() -> impl Strategy<Value = Substitution> {
+    (0..10_000usize, prop::collection::vec(0..3usize, 1..=3))
+        .prop_map(|(at, to)| Substitution { at, to })
+}
+
 /// A document: space-separated terminal names over `a`/`b`/`c`.
 fn document(codes: &[usize]) -> String {
     codes
@@ -253,6 +286,41 @@ proptest! {
         let merged = server.stats().merged();
         prop_assert_eq!(merged.reparse_full, want_full, "stale/desynced edits take the full path");
         prop_assert_eq!(merged.reparse_incremental, want_incremental);
+        server.close_document(id).unwrap();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// Substitution-only edit scripts over random grammars: every edit
+    /// keeps the token count, so each re-parse may stop where it converges
+    /// with the recorded parse and keep the recorded suffix — and must
+    /// still digest-match a cold re-parse of the spliced text. Each random
+    /// grammar gets a left-recursive list spine (`N0 ::= N0 t | t` for
+    /// every terminal `t`), so every document parses to its end and the
+    /// random rules' ambiguity decides where the re-runs converge.
+    #[test]
+    fn substitution_scripts_match_cold_reparses(
+        spec in grammar_spec(true),
+        doc in prop::collection::vec(0..3usize, 1..=24),
+        subs in prop::collection::vec(substitution_strategy(), 1..=10),
+    ) {
+        let mut spec = spec;
+        let n0 = spec.num_terminals;
+        for t in 0..spec.num_terminals {
+            spec.rules[0].extend([vec![n0, t], vec![t]]);
+        }
+        let server = spec_server(&spec);
+        let mut text = document(&doc);
+        let id = server.open_document(&text).expect("initial document lexes");
+        for sub in &subs {
+            let edit = sub.resolve(doc.len());
+            prop_assert!(check_edit(&server, id, &mut text, &edit)?, "a substitution always lexes");
+        }
+        let merged = server.stats().merged();
+        prop_assert_eq!(merged.reparse_incremental, subs.len(), "every substitution is incremental");
+        prop_assert!(merged.reparse_converged <= merged.reparse_incremental);
         server.close_document(id).unwrap();
     }
 }
