@@ -28,6 +28,14 @@
 //! `full-edit-front` mean over the `incremental-substitute-front` mean — is
 //! hard-gated at 50x.
 //!
+//! The `incremental-relayout-front` row edits the layout after the first
+//! token of a document of its own: `   \n` becomes ` --\n`, one whitespace
+//! match becomes three layout matches, with the token count and the byte
+//! length unchanged. Layout folds into the record of the token after it,
+//! so the record vector keeps its length and the splice moves nothing; the
+//! row is hard-gated at 3x the `incremental-substitute-front` mean
+//! (`relayout_over_substitute_front`).
+//!
 //! Prints a table and writes `BENCH_incremental_text.json` for CI.
 //!
 //! Run with `cargo run --release -p ipg-bench --bin incremental_text`.
@@ -81,6 +89,12 @@ fn insert_pair(at: usize) -> EditPair {
 /// Substitute the `item` token at byte `at` with `atom`, then back.
 fn substitute_pair(at: usize) -> EditPair {
     [(at..at + 4, "atom"), (at..at + 4, "item")]
+}
+
+/// Turn the layout `   \n` at byte `at` into ` --\n` (one whitespace
+/// match into a space, a comment and a newline), then back.
+fn relayout_pair(at: usize) -> EditPair {
+    [(at..at + 4, " --\n"), (at..at + 4, "   \n")]
 }
 
 struct Row {
@@ -158,6 +172,13 @@ fn main() {
     substitutions.apply_edit(sub_id, 0..4, "atom").expect("warm edit");
     substitutions.apply_edit(sub_id, 0..4, "item").expect("warm edit");
 
+    // The relayout document: the same list with `   \n` after its first
+    // token.
+    let relayout_text = format!("item   \n{}", &text["item ".len()..]);
+    let relayout_id = server.open_document(&relayout_text).expect("document opens");
+    server.apply_edit(relayout_id, 4..8, " --\n").expect("warm edit");
+    server.apply_edit(relayout_id, 4..8, "   \n").expect("warm edit");
+
     let end = text.len() - 4; // before the last "item"
     let mid = text.len() / 2 / 5 * 5; // a token boundary near the middle
     let rows = [
@@ -166,6 +187,7 @@ fn main() {
         run_edits(&server, id, insert_pair(0), false, "incremental-edit-front"),
         run_edits(&substitutions, sub_id, substitute_pair(0), false, "incremental-substitute-front"),
         run_edits(&substitutions, sub_id, substitute_pair(mid), false, "incremental-substitute-mid"),
+        run_edits(&server, relayout_id, relayout_pair(4), false, "incremental-relayout-front"),
         // Whitespace-only: the damaged region re-lexes to the same token
         // sequence, so the parse is reused outright (fast path).
         {
@@ -219,10 +241,13 @@ fn main() {
     let speedup_end = mean("full-edit-end") / mean("incremental-edit-end");
     let speedup_front = mean("full-edit-front") / mean("incremental-edit-front");
     let speedup_substitute = mean("full-edit-front") / mean("incremental-substitute-front");
+    let relayout_over_substitute =
+        mean("incremental-relayout-front") / mean("incremental-substitute-front");
     let work_ratio = mean("incremental-edit-end") / mean("full-edit-end");
     println!("\nsingle-token edit speedup (end of document):   {speedup_end:.1}x");
     println!("single-token edit speedup (front of document): {speedup_front:.1}x");
     println!("substitution edit speedup (front of document): {speedup_substitute:.1}x");
+    println!("relayout/substitution latency ratio (front):   {relayout_over_substitute:.2}");
     println!("incremental/full latency ratio (end edits):    {work_ratio:.5}");
 
     let mut json = String::from("{\n  \"rows\": [\n");
@@ -246,6 +271,7 @@ fn main() {
          \"single_token_edit_speedup\": {speedup_end:.3},\n  \
          \"single_token_edit_speedup_front\": {speedup_front:.3},\n  \
          \"substitution_edit_speedup_front\": {speedup_substitute:.3},\n  \
+         \"relayout_over_substitute_front\": {relayout_over_substitute:.3},\n  \
          \"incremental_full_ratio\": {work_ratio:.6}\n}}\n",
         open_s * 1e3,
     );
@@ -254,6 +280,7 @@ fn main() {
 
     server.close_document(id).expect("close");
     substitutions.close_document(sub_id).expect("close");
+    server.close_document(relayout_id).expect("close");
 
     // Hard gate: a single-token edit at the end of a large document must
     // beat the full re-parse by 20x — an in-run, same-host ratio, so it
@@ -277,6 +304,18 @@ fn main() {
              (substitution {:.1} µs vs full {:.1} µs)",
             mean("incremental-substitute-front"),
             mean("full-edit-front")
+        );
+        failed = true;
+    }
+    // Hard gate: a relayout edit keeps the record count, so it costs a
+    // re-lex of the two records around it and no parse — at most 3x a
+    // converging substitution at the same place.
+    if relayout_over_substitute > 3.0 {
+        eprintln!(
+            "FAIL: relayout edit {relayout_over_substitute:.2}x the substitution edit, above the \
+             3x gate (relayout {:.1} µs vs substitution {:.1} µs)",
+            mean("incremental-relayout-front"),
+            mean("incremental-substitute-front")
         );
         failed = true;
     }

@@ -5,31 +5,46 @@
 //! the whole text→forest pipeline warm between edits:
 //!
 //! * the text and its character vector;
-//! * the lexer's [`MatchRec`] list with per-match examined extents, so an
-//!   edit re-lexes only the damaged region and resynchronises with the
-//!   old token boundaries (`ipg_lexer::relex`);
+//! * the lexer's token-anchored [`MatchRec`] list: record `i` is token `i`
+//!   with the layout before it, and one final record holds the trailing
+//!   layout (`ipg_lexer::relex`). Each record carries its examined extent,
+//!   so an edit re-lexes only the damaged records and resynchronises at an
+//!   old record start, which is a token end;
+//! * the terminal sequence, one per token record;
 //! * the parser's `ParseCtx` (GSS pools + flat forest arena) and
 //!   `ParseHistory` (per-token checkpoints), so the GSS re-runs only from
-//!   the leftmost damaged token — and, for same-length edits, only until
-//!   it converges with the recorded parse — reusing the retained forest;
+//!   the leftmost damaged token — and, for edits that keep the token
+//!   count, only until it converges with the recorded parse — reusing the
+//!   retained forest;
 //! * the pinned `Arc<GrammarEpoch>` and DFA snapshot the state was built
 //!   against.
 //!
+//! All of this memory but the text is one [`RequestCtx`], checked out of
+//! the per-thread context pool at open and checked back in at close, so a
+//! document reuses the memory of the parses and documents before it. A
+//! session closed while desynchronised (or after a panic poisoned it)
+//! drops its context instead (`ctx_quarantined`), like a budget-killed
+//! parse.
+//!
 //! [`IpgServer::apply_edit`] is the hot path:
 //!
-//! 1. splice the text and characters, and re-lex only the damaged region
-//!    (a same-length edit shifts no later record's position, so only a
-//!    change in the record count still moves the record vector's tail);
-//! 2. map the re-lexed records to terminals — a token-identical result
-//!    (layout edits, renames within a token class) keeps the parse as is;
-//! 3. resume the GSS with the edit's token extent: it rewinds to the
-//!    leftmost damaged token's checkpoint and logs what it overwrites;
+//! 1. splice the text and characters, and re-lex only the damaged records.
+//!    Record and token indices agree, so the record count changes exactly
+//!    when the token count does: an edit that keeps the token count
+//!    replaces its records in place, and a same-length one shifts no
+//!    later record either;
+//! 2. map the re-lexed token records 1:1 to terminals — a token-identical
+//!    result (layout edits, renames within a token class) keeps the parse
+//!    as is;
+//! 3. resume the GSS at the first damaged record's index: it rewinds to
+//!    that token's checkpoint and logs what it overwrites;
 //! 4. for an edit that keeps the token count, the re-run stops where it
 //!    converges with the recorded parse and splices the recorded suffix
 //!    back (`reparse_converged`); other edits replay to the end.
 //!
-//! `states_rerun` counts the GSS nodes the re-run built, up to the
-//! convergence point.
+//! `tokens_relexed` counts the records the edit re-scanned (each a token
+//! with its leading layout folded in); `states_rerun` counts the GSS nodes
+//! the re-run built, up to the convergence point.
 //!
 //! The staleness rule is strict: if the server published any epoch since the session last
 //! parsed (grammar `MODIFY`, scanner edit, GC), the edit re-pins the
@@ -38,6 +53,10 @@
 //! across epochs. The same full rebuild covers sessions desynchronised by
 //! a scan error (the text edit is applied even when the new text does not
 //! lex; parse state catches up on the next lexable edit).
+//!
+//! A document's text is limited to [`ipg_lexer::MAX_TEXT_BYTES`] (records
+//! store positions as `u32`): an open or edit past it fails with
+//! [`ServerError::DocumentTooLarge`] and changes nothing.
 //!
 //! Correctness of the incremental path is proven, not assumed: the
 //! `incremental_reparse` suite digest-compares every incremental result
@@ -51,13 +70,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ipg_glr::{
-    ExhaustReason, GssParseResult, GssParser, GssStats, ParseBudget, ParseCtx, ParseHistory,
-    ParseOutcome, TokenEdit,
+    ExhaustReason, GssParseResult, GssParser, GssStats, ParseBudget, ParseOutcome, TokenEdit,
 };
 use ipg_grammar::SymbolId;
-use ipg_lexer::{relex, DfaSnapshot, MatchRec, ScanError};
+use ipg_lexer::{relex, DfaSnapshot, MatchRec, ScanError, Scanner, MAX_TEXT_BYTES};
 
-use crate::server::{GrammarEpoch, IpgServer, ServerError};
+use crate::server::{checkin_ctx, checkout_ctx, GrammarEpoch, IpgServer, RequestCtx, ServerError};
 use crate::stats::GenStats;
 
 /// The state of one open document (see the module docs).
@@ -71,19 +89,15 @@ struct DocumentSession {
     /// cache misses, replaced when the epoch is re-pinned).
     pin: Arc<DfaSnapshot>,
     text: String,
-    chars: Vec<char>,
-    recs: Vec<MatchRec>,
-    /// The non-layout terminal sequence (parallel to the non-layout
-    /// records; spliced, not rebuilt, on incremental edits).
-    tokens: Vec<SymbolId>,
-    ctx: ParseCtx,
-    history: ParseHistory,
-    /// Whether `recs`/`tokens`/`ctx`/`history` describe `text`. False
-    /// after a scan error applied the text edit but could not rebuild the
-    /// parse state; the next edit rebuilds from scratch.
+    /// Characters, records, terminals, GSS context and checkpoint history:
+    /// a pooled context, held from open to close.
+    mem: Box<RequestCtx>,
+    /// Whether the state in `mem` describes `text`. False after a scan
+    /// error applied the text edit but could not rebuild the parse state;
+    /// the next edit rebuilds from scratch.
     synced: bool,
     /// The most recent successful parse outcome (its forest lives in
-    /// `ctx`).
+    /// `mem`).
     last: ParseOutcome,
 }
 
@@ -152,6 +166,34 @@ fn lock_doc(doc: &Arc<Mutex<DocumentSession>>) -> std::sync::MutexGuard<'_, Docu
     }
 }
 
+/// Refuses a document text longer than the records can address.
+fn check_document_len(bytes: usize) -> Result<(), ServerError> {
+    if bytes > MAX_TEXT_BYTES {
+        return Err(ServerError::DocumentTooLarge { bytes });
+    }
+    Ok(())
+}
+
+/// The grammar terminal of a token record, through the epoch's
+/// slot→terminal map.
+fn terminal(
+    scanner: &Scanner,
+    slots: &[Option<SymbolId>],
+    rec: &MatchRec,
+) -> Result<SymbolId, ScanError> {
+    let slot = rec.slot().expect("only token records map to terminals");
+    slots
+        .get(slot)
+        .copied()
+        .flatten()
+        .ok_or_else(|| ScanError::UnknownTerminal {
+            name: scanner
+                .slot(slot)
+                .map(|def| def.name.clone())
+                .unwrap_or_default(),
+        })
+}
+
 /// A point-in-time description of an open document, for observability
 /// (and the frontend's replies).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -174,21 +216,24 @@ impl IpgServer {
     /// current epoch with checkpoint recording, and registers the state
     /// for incremental edits. Returns the new document id.
     ///
-    /// Requires a scanner ([`ServerError::NoScanner`] otherwise). A scan
-    /// or unknown-terminal error closes nothing — no session is created.
+    /// Requires a scanner ([`ServerError::NoScanner`] otherwise) and a
+    /// text of at most [`ipg_lexer::MAX_TEXT_BYTES`] bytes
+    /// ([`ServerError::DocumentTooLarge`]). A scan or unknown-terminal
+    /// error creates no session.
     pub fn open_document(&self, text: &str) -> Result<u64, ServerError> {
         self.open_document_budgeted(text, self.default_budget())
     }
 
     /// [`IpgServer::open_document`] under an explicit [`ParseBudget`]. If
-    /// the initial parse exhausts the budget no session is created and
-    /// [`ServerError::Exhausted`] is returned.
+    /// the initial parse exhausts the budget no session is created, the
+    /// context is quarantined and [`ServerError::Exhausted`] is returned.
     pub fn open_document_budgeted(
         &self,
         text: &str,
         budget: ParseBudget,
     ) -> Result<u64, ServerError> {
         let started = Instant::now();
+        check_document_len(text.len())?;
         let epoch = self.acquire();
         let Some(scanner) = epoch.scanner() else {
             self.release(epoch);
@@ -196,15 +241,12 @@ impl IpgServer {
         };
         let pin = scanner.dfa_snapshot();
         let grammar_version = epoch.grammar_version();
+        let (mem, reused) = checkout_ctx();
         let mut doc = DocumentSession {
             epoch,
             pin,
             text: text.to_owned(),
-            chars: Vec::new(),
-            recs: Vec::new(),
-            tokens: Vec::new(),
-            ctx: ParseCtx::new(),
-            history: ParseHistory::new(),
+            mem,
             synced: false,
             last: ParseOutcome::Done {
                 accepted: false,
@@ -212,19 +254,30 @@ impl IpgServer {
                 grammar_version,
             },
         };
-        let (_, action_calls, goto_calls) =
-            match self.reload_document(&mut doc, budget) {
-                Ok(reloaded) => reloaded,
-                Err(ServerError::Exhausted(reason)) => {
-                    return Err(self.note_doc_exhausted(started, reason));
-                }
-                Err(e) => return Err(e),
-            };
+        let (_, action_calls, goto_calls) = match self.reload_document(&mut doc, budget) {
+            Ok(reloaded) => reloaded,
+            Err(e) => {
+                let DocumentSession { epoch, mem, .. } = doc;
+                self.release(epoch);
+                return Err(match e {
+                    ServerError::Exhausted(reason) => {
+                        self.quarantine_ctx(mem, None);
+                        self.note_doc_exhausted(started, reason)
+                    }
+                    e => {
+                        checkin_ctx(mem);
+                        e
+                    }
+                });
+            }
+        };
         let id = self.documents.insert(doc);
         let mut delta = GenStats {
             parses: 1,
             action_calls,
             goto_calls,
+            ctx_reused: usize::from(reused),
+            ctx_fresh: usize::from(!reused),
             ..GenStats::default()
         };
         delta.latency.record(started.elapsed());
@@ -240,7 +293,9 @@ impl IpgServer {
     ///
     /// On a scan error the text edit **is** applied (the document is the
     /// source of truth) but the parse state is marked desynchronised and
-    /// rebuilt by the next edit; the error is returned.
+    /// rebuilt by the next edit; the error is returned. An invalid range,
+    /// or an edit that would grow the text past
+    /// [`ipg_lexer::MAX_TEXT_BYTES`], changes nothing.
     pub fn apply_edit(
         &self,
         id: u64,
@@ -275,6 +330,7 @@ impl IpgServer {
                 len: doc.text.len(),
             });
         }
+        check_document_len((doc.text.len() - range.len()).saturating_add(replacement.len()))?;
 
         // Staleness rule: any epoch published since this session last
         // parsed (grammar MODIFY, scanner edit, GC) forces a full rebuild
@@ -308,49 +364,57 @@ impl IpgServer {
 
         // Incremental path. The char-coordinate edit is derived from the
         // still-synced records before anything is spliced.
-        let edit = relex::char_edit(&doc.recs, &doc.text, range.start, range.end, replacement);
+        let RequestCtx {
+            glr,
+            chars,
+            history,
+            recs,
+            tokens,
+        } = &mut *doc.mem;
+        let edit = relex::char_edit(recs, &doc.text, range.start, range.end, replacement);
         doc.text.replace_range(range, replacement);
-        doc.chars
-            .splice(edit.char_start..edit.char_end, replacement.chars());
+        chars.splice(edit.char_start..edit.char_end, replacement.chars());
 
         let epoch = doc.epoch.clone();
         let scanner = epoch
             .scanner()
             .expect("synced session implies a scanner-backed epoch");
         ipg_glr::fault::point("relex");
-        let relexed = scanner.relex_splice(&mut doc.pin, &mut doc.recs, &doc.chars, edit);
+        let relexed = scanner.relex_splice(&mut doc.pin, recs, chars, edit);
         let rel = match relexed {
             Ok(rel) => rel,
             Err(e) => return Err(self.desync(doc, started, e)),
         };
+        debug_assert!(
+            {
+                let mut cold = Vec::new();
+                let cold_scan = scanner.lex_records(&mut doc.pin.clone(), chars, &mut cold);
+                cold_scan.is_ok() && cold == *recs
+            },
+            "the re-lexed records differ from a cold scan of the edited text"
+        );
 
-        // Map the re-lexed records to grammar terminals and splice the
-        // token vector.
+        // Record `i` is token `i`: map the re-lexed token records to
+        // grammar terminals, staged past the end of the token vector, and
+        // splice them in at the same index.
+        let damage = rel.first_damaged;
+        let removed_end = damage + rel.old_tokens_removed;
+        let old_len = tokens.len();
         let slots = epoch.terminal_slots();
-        let mut new_syms: Vec<SymbolId> = Vec::with_capacity(rel.new_tokens);
-        for rec in &doc.recs[rel.first_damaged..rel.first_damaged + rel.relexed] {
-            if rec.layout {
-                continue;
-            }
-            match slots.get(rec.slot).copied().flatten() {
-                Some(symbol) => new_syms.push(symbol),
-                None => {
-                    let e = ScanError::UnknownTerminal {
-                        name: scanner
-                            .slot(rec.slot)
-                            .map(|def| def.name.clone())
-                            .unwrap_or_default(),
-                    };
+        for rec in &recs[damage..damage + rel.new_tokens] {
+            match terminal(scanner, slots, rec) {
+                Ok(symbol) => tokens.push(symbol),
+                Err(e) => {
+                    tokens.truncate(old_len);
                     return Err(self.desync(doc, started, e));
                 }
             }
         }
-        let damage = rel.tokens_before_damage;
-        let removed_end = damage + rel.old_tokens_removed;
-        if new_syms.len() == rel.old_tokens_removed && doc.tokens[damage..removed_end] == new_syms {
+        if tokens[damage..removed_end] == tokens[old_len..] {
             // Token-identical splice (layout-only edit, or a replacement
             // lexing to the very same terminals): the parse — forest,
             // history and all — is still exact. Nothing re-runs.
+            tokens.truncate(old_len);
             let mut delta = GenStats {
                 parses: 1,
                 reparse_incremental: 1,
@@ -364,20 +428,13 @@ impl IpgServer {
         let edit = TokenEdit {
             start: damage,
             old_len: rel.old_tokens_removed,
-            new_len: new_syms.len(),
+            new_len: rel.new_tokens,
         };
-        doc.tokens.splice(damage..removed_end, new_syms);
+        relex::splice_staged(tokens, damage..removed_end, old_len);
 
         let tables = epoch.session().tables();
         let parser = GssParser::new(epoch.session().grammar());
-        let resumed = parser.parse_resumed_budgeted(
-            &mut doc.ctx,
-            &tables,
-            &doc.tokens,
-            &mut doc.history,
-            edit,
-            budget,
-        );
+        let resumed = parser.parse_resumed_budgeted(glr, &tables, tokens, history, edit, budget);
         let outcome = resumed.outcome;
         let (action_calls, goto_calls) = tables.query_counts();
         drop(tables);
@@ -409,7 +466,7 @@ impl IpgServer {
     pub fn document_result(&self, id: u64) -> Result<GssParseResult, ServerError> {
         let doc = self.documents.get(id)?;
         let doc = lock_doc(&doc);
-        Ok(doc.last.into_result(doc.ctx.forest().clone()))
+        Ok(doc.last.into_result(doc.mem.glr.forest().clone()))
     }
 
     /// The document's current text (always reflects every applied edit,
@@ -424,28 +481,44 @@ impl IpgServer {
         let doc = lock_doc(&doc);
         Ok(DocumentInfo {
             bytes: doc.text.len(),
-            tokens: doc.tokens.len(),
+            tokens: doc.mem.tokens.len(),
             epoch: doc.epoch.number(),
             accepted: doc.last.accepted(),
             synced: doc.synced,
         })
     }
 
-    /// Closes a document session, dropping its state and releasing its
-    /// epoch pin (a stale pinned epoch becomes reclaimable here).
+    /// Closes a document session and releases its epoch pin (a stale
+    /// pinned epoch becomes reclaimable here). A synced session returns
+    /// its memory to the calling thread's context pool; a desynchronised
+    /// or poisoned one drops it (`ctx_quarantined`).
     pub fn close_document(&self, id: u64) -> Result<(), ServerError> {
         let doc = self
             .documents
             .remove(id)
             .ok_or(ServerError::UnknownDocument(id))?;
-        let epoch = match Arc::try_unwrap(doc) {
-            // Closing a session whose last holder panicked mid-edit is
-            // still fine — only the pin is read out of the wreckage.
-            Ok(mutex) => mutex.into_inner().unwrap_or_else(|p| p.into_inner()).epoch,
-            // A concurrent reader still holds the session `Arc`; it drops
-            // the pin when it finishes.
-            Err(arc) => lock_doc(&arc).epoch.clone(),
+        let doc = match Arc::try_unwrap(doc) {
+            Ok(mutex) => mutex.into_inner().unwrap_or_else(|poisoned| {
+                let mut doc = poisoned.into_inner();
+                doc.synced = false;
+                doc
+            }),
+            // A concurrent reader still holds the session `Arc`; the
+            // session (memory and pin) drops when it finishes.
+            Err(arc) => {
+                let epoch = lock_doc(&arc).epoch.clone();
+                self.release(epoch);
+                return Ok(());
+            }
         };
+        let DocumentSession {
+            epoch, mem, synced, ..
+        } = doc;
+        if synced {
+            checkin_ctx(mem);
+        } else {
+            self.quarantine_ctx(mem, None);
+        }
         self.release(epoch);
         Ok(())
     }
@@ -468,34 +541,27 @@ impl IpgServer {
         let epoch = doc.epoch.clone();
         let scanner = epoch.scanner().ok_or(ServerError::NoScanner)?;
         doc.pin = scanner.dfa_snapshot();
-        doc.chars.clear();
-        let text: &str = &doc.text;
-        doc.chars.extend(text.chars());
-        scanner.lex_records(&mut doc.pin, &doc.chars, &mut doc.recs)?;
-        doc.tokens.clear();
+        let RequestCtx {
+            glr,
+            chars,
+            history,
+            recs,
+            tokens,
+        } = &mut *doc.mem;
+        chars.clear();
+        chars.extend(doc.text.chars());
+        scanner.lex_records(&mut doc.pin, chars, recs)?;
+        tokens.clear();
         let slots = epoch.terminal_slots();
-        for rec in doc.recs.iter().filter(|rec| !rec.layout) {
-            match slots.get(rec.slot).copied().flatten() {
-                Some(symbol) => doc.tokens.push(symbol),
-                None => {
-                    return Err(ServerError::Scan(ScanError::UnknownTerminal {
-                        name: scanner
-                            .slot(rec.slot)
-                            .map(|def| def.name.clone())
-                            .unwrap_or_default(),
-                    }))
-                }
-            }
+        let (_, token_recs) = recs
+            .split_last()
+            .expect("a record list ends in its final record");
+        for rec in token_recs {
+            tokens.push(terminal(scanner, slots, rec)?);
         }
         let tables = epoch.session().tables();
         let parser = GssParser::new(epoch.session().grammar());
-        let outcome = parser.parse_recorded_budgeted(
-            &mut doc.ctx,
-            &tables,
-            &doc.tokens,
-            &mut doc.history,
-            budget,
-        );
+        let outcome = parser.parse_recorded_budgeted(glr, &tables, tokens, history, budget);
         let (action_calls, goto_calls) = tables.query_counts();
         drop(tables);
         if let Some(reason) = outcome.exhausted() {
@@ -537,7 +603,6 @@ impl IpgServer {
         ServerError::Scan(e)
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -639,6 +704,64 @@ mod tests {
         server.close_document(id).unwrap();
     }
 
+    /// Sums the context-pool counters over the serving threads.
+    fn pool_counters(server: &IpgServer) -> (usize, usize, usize) {
+        let merged = server.stats().merged();
+        (merged.ctx_reused, merged.ctx_fresh, merged.ctx_quarantined)
+    }
+
+    #[test]
+    fn closed_documents_recycle_their_memory_through_the_pool() {
+        let server = boolean_server();
+        let id = server.open_document("true or false").unwrap();
+        assert_eq!(
+            pool_counters(&server),
+            (0, 1, 0),
+            "a new thread's first open builds"
+        );
+        server.apply_edit(id, 0..4, "false").unwrap();
+        server.close_document(id).unwrap();
+        let id = server.open_document("true and true").unwrap();
+        assert_eq!(
+            pool_counters(&server),
+            (1, 1, 0),
+            "the reopen reused the closed memory"
+        );
+        let text = server.document_text(id).unwrap();
+        let cold = server.parse_text(&text).unwrap();
+        assert_eq!(digest(&server.document_result(id).unwrap()), digest(&cold));
+        server.close_document(id).unwrap();
+    }
+
+    #[test]
+    fn closing_a_desynchronised_document_quarantines_its_memory() {
+        let server = boolean_server();
+        let id = server.open_document("true or false").unwrap();
+        assert!(server.apply_edit(id, 4..4, "%").is_err());
+        assert!(!server.document_info(id).unwrap().synced);
+        server.close_document(id).unwrap();
+        assert_eq!(pool_counters(&server), (0, 1, 1), "dropped, not recycled");
+        let id = server.open_document("true").unwrap();
+        assert_eq!(
+            pool_counters(&server),
+            (0, 2, 1),
+            "the next open builds fresh"
+        );
+        server.close_document(id).unwrap();
+    }
+
+    #[test]
+    fn texts_past_the_record_limit_are_refused() {
+        assert_eq!(check_document_len(0), Ok(()));
+        assert_eq!(check_document_len(MAX_TEXT_BYTES), Ok(()));
+        for bytes in [MAX_TEXT_BYTES + 1, 4 << 30, usize::MAX] {
+            assert_eq!(
+                check_document_len(bytes),
+                Err(ServerError::DocumentTooLarge { bytes })
+            );
+        }
+    }
+
     #[test]
     fn stale_epoch_forces_full_reparse() {
         let server = boolean_server();
@@ -662,7 +785,10 @@ mod tests {
         let id = server.open_document("true or false").unwrap();
         assert!(matches!(
             server.apply_edit(id, 4..4, "%"),
-            Err(ServerError::Scan(ScanError::UnexpectedCharacter { character: '%', .. }))
+            Err(ServerError::Scan(ScanError::UnexpectedCharacter {
+                character: '%',
+                ..
+            }))
         ));
         assert_eq!(server.document_text(id).unwrap(), "true% or false");
         assert!(!server.document_info(id).unwrap().synced);

@@ -69,6 +69,11 @@
 //!              reset O(live))
 //! ```
 //!
+//! A document session ([`IpgServer::open_document`]) checks its context
+//! out at open, keeps its characters, match records, tokens, GSS state and
+//! checkpoint history in it while the document is open, and checks it
+//! back in at close, so document memory is recycled the same way.
+//!
 //! On a warm server a request through the pooled entry points
 //! ([`IpgServer::parse_text_pooled`], [`IpgServer::parse_pooled`],
 //! [`IpgServer::recognize`]) performs **zero heap allocations** end to
@@ -246,10 +251,10 @@ use std::time::{Duration, Instant};
 
 use ipg_glr::{
     ExhaustReason, Forest, GssParseResult, GssParser, GssStats, ParseBudget, ParseCtx,
-    ParseOutcome, TokenSource,
+    ParseHistory, ParseOutcome, TokenSource,
 };
 use ipg_grammar::{RuleId, SymbolId};
-use ipg_lexer::{ScanError, Scanner, TokenStream};
+use ipg_lexer::{MatchRec, ScanError, Scanner, TokenStream};
 
 use crate::session::{IpgSession, SessionError};
 use crate::stats::GenStats;
@@ -277,6 +282,13 @@ pub enum ServerError {
         /// The document's length in bytes.
         len: usize,
     },
+    /// Opening or editing a document would make its text longer than a
+    /// document session holds ([`ipg_lexer::MAX_TEXT_BYTES`], just under
+    /// 4 GiB). Nothing was changed.
+    DocumentTooLarge {
+        /// The length in bytes the text would have had.
+        bytes: usize,
+    },
     /// The parse was cancelled mid-flight by its [`ParseBudget`]: the
     /// request's deadline passed (`Deadline` — surfaced as
     /// `DEADLINE_EXCEEDED` on the wire) or a resource cap tripped
@@ -294,6 +306,11 @@ impl fmt::Display for ServerError {
             ServerError::InvalidRange { start, end, len } => {
                 write!(f, "invalid edit range {start}..{end} in a document of {len} bytes")
             }
+            ServerError::DocumentTooLarge { bytes } => write!(
+                f,
+                "a document of {bytes} bytes exceeds the {} byte limit of a document session",
+                ipg_lexer::MAX_TEXT_BYTES
+            ),
             ServerError::Exhausted(reason) => {
                 write!(f, "parse budget exhausted ({reason})")
             }
@@ -434,17 +451,26 @@ impl TokenSource for EpochTokenSource<'_> {
 
 /// A reusable per-worker request context: everything one request needs as
 /// scratch — the GSS driver's [`ParseCtx`] (node/edge pools, frontiers,
-/// forest arena, token buffer) plus the scanner's character buffer.
+/// forest arena, token buffer) plus the scanner's character buffer — and
+/// the rest of a document session's memory: its checkpoint history, match
+/// records and token vector.
 ///
 /// Contexts are recycled through a per-thread pool slot (see the module
 /// docs): a warm request checks one out, parses, and returns it, touching
-/// the allocator not at all.
+/// the allocator not at all. A document session holds its context from
+/// open to close.
 #[derive(Debug, Default)]
 pub struct RequestCtx {
     /// The parse driver's scratch (forest arena included).
-    glr: ParseCtx,
-    /// The fused scanner's reusable character buffer.
-    chars: Vec<char>,
+    pub(crate) glr: ParseCtx,
+    /// The scanner's reusable character buffer (a document's characters).
+    pub(crate) chars: Vec<char>,
+    /// A document's per-token parse checkpoints.
+    pub(crate) history: ParseHistory,
+    /// A document's token-anchored match records.
+    pub(crate) recs: Vec<MatchRec>,
+    /// A document's terminal sequence, one per token record.
+    pub(crate) tokens: Vec<SymbolId>,
 }
 
 thread_local! {
@@ -459,7 +485,7 @@ thread_local! {
 
 /// Takes the calling thread's pooled context, or builds a fresh one.
 /// Returns whether the context was recycled (for the stats counters).
-fn checkout_ctx() -> (Box<RequestCtx>, bool) {
+pub(crate) fn checkout_ctx() -> (Box<RequestCtx>, bool) {
     match CTX_SLOT.try_with(Cell::take).ok().flatten() {
         Some(ctx) => (ctx, true),
         None => (Box::default(), false),
@@ -471,7 +497,7 @@ fn checkout_ctx() -> (Box<RequestCtx>, bool) {
 /// out of order), the previously resident context is dropped so exactly
 /// one stays pooled. `try_with` covers returns during thread teardown,
 /// where the context is simply dropped.
-fn checkin_ctx(ctx: Box<RequestCtx>) {
+pub(crate) fn checkin_ctx(ctx: Box<RequestCtx>) {
     let _ = CTX_SLOT.try_with(|slot| slot.set(Some(ctx)));
 }
 
@@ -918,12 +944,12 @@ impl IpgServer {
                     outcome,
                 }),
                 Some(reason) => {
-                    self.quarantine_ctx(ctx, reason);
+                    self.quarantine_ctx(ctx, Some(reason));
                     Err(ServerError::Exhausted(reason))
                 }
             },
             Err(ServerError::Exhausted(reason)) => {
-                self.quarantine_ctx(ctx, reason);
+                self.quarantine_ctx(ctx, Some(reason));
                 Err(ServerError::Exhausted(reason))
             }
             Err(e) => {
@@ -933,19 +959,20 @@ impl IpgServer {
         }
     }
 
-    /// Quarantines a request context after a budget kill: drops it (the
-    /// next checkout builds fresh) and records the exhaustion counters —
-    /// `parses_cancelled` for a deadline cut, `parses_exhausted` for a
-    /// resource cap.
-    fn quarantine_ctx(&self, ctx: Box<RequestCtx>, reason: ExhaustReason) {
+    /// Quarantines a request context: drops it (the next checkout builds
+    /// fresh) and counts `ctx_quarantined`. After a budget kill it also
+    /// records the exhaustion counter — `parses_cancelled` for a deadline
+    /// cut, `parses_exhausted` for a resource cap.
+    pub(crate) fn quarantine_ctx(&self, ctx: Box<RequestCtx>, reason: Option<ExhaustReason>) {
         drop(ctx);
         let mut delta = GenStats {
             ctx_quarantined: 1,
             ..GenStats::default()
         };
         match reason {
-            ExhaustReason::Deadline => delta.parses_cancelled = 1,
-            _ => delta.parses_exhausted = 1,
+            Some(ExhaustReason::Deadline) => delta.parses_cancelled = 1,
+            Some(_) => delta.parses_exhausted = 1,
+            None => {}
         }
         self.note(&delta);
     }
@@ -962,7 +989,7 @@ impl IpgServer {
         budget: ParseBudget,
     ) -> Result<ParseOutcome, ServerError> {
         let scanner = epoch.scanner().ok_or(ServerError::NoScanner)?;
-        let RequestCtx { glr, chars } = ctx;
+        let RequestCtx { glr, chars, .. } = ctx;
         let source = EpochTokenSource {
             stream: scanner.stream(input, chars),
             slots: epoch.terminal_slots(),

@@ -253,8 +253,10 @@ pub struct GenStats {
     /// Document edits that fell back to a full re-lex + re-parse (stale
     /// pinned epoch, or a session desynchronised by a scan error).
     pub reparse_full: usize,
-    /// Lexer matches actually re-scanned by incremental edits (layout and
-    /// tokens alike; retained and shifted matches are not counted).
+    /// Token records actually re-scanned by incremental edits, each a
+    /// token with its leading layout folded in (a re-scanned final record
+    /// of trailing layout counts too; retained and shifted records do
+    /// not).
     pub tokens_relexed: usize,
     /// GSS nodes re-created by incremental re-parses — the re-run portion
     /// of the graph (a cold parse would have built the whole graph), up to

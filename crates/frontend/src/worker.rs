@@ -39,7 +39,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use ipg::{ExhaustReason, GenStats, GrammarRegistry, IpgServer, LatencyHistogram, ServerError};
+use ipg::{
+    ExhaustReason, GenStats, GrammarRegistry, IpgServer, LatencyHistogram, ServerError,
+    SessionError,
+};
 
 use crate::deadline::Deadline;
 use crate::protocol::{
@@ -357,13 +360,51 @@ fn attach_tenant(shared: &Shared, payload: &[u8]) -> (Status, Vec<u8>) {
 
 /// Executes one routed verb against the addressed tenant's server.
 fn route(shared: &Shared, server: &IpgServer, job: &Job) -> (Status, Vec<u8>) {
-    let utf8 = |payload: &[u8]| -> Result<String, (Status, Vec<u8>)> {
-        String::from_utf8(payload.to_vec())
-            .map_err(|_| (Status::Error, b"payload is not valid UTF-8".to_vec()))
+    // Verbs without text: answered here, no epoch pin to guard.
+    match job.verb {
+        Verb::Ping => return (Status::Ok, Vec::new()),
+        Verb::Stats => return (Status::Ok, stats_json(shared).into_bytes()),
+        Verb::CloseDoc => {
+            let Ok(doc_id) = <[u8; 8]>::try_from(&job.payload[..]) else {
+                return (Status::Error, b"close-doc payload must be a doc id".to_vec());
+            };
+            return match server.close_document(u64::from_le_bytes(doc_id)) {
+                Ok(()) => (Status::Ok, Vec::new()),
+                Err(e) => (Status::Error, e.to_string().into_bytes()),
+            };
+        }
+        _ => {}
+    }
+    // The one preamble of every text-carrying verb: borrow the text out of
+    // the frame (for `PARSE-DELTA`, the replacement after its fixed
+    // prefix), check it is UTF-8, and check the deadline at epoch-pin
+    // time (deadline check #2) — the last moment before the server call
+    // pins an epoch and commits parser time. An expired `PARSE-DELTA` is
+    // shed before the edit is applied, so the client can retry it
+    // verbatim.
+    let (delta, text) = match job.verb {
+        Verb::ParseDelta => match decode_parse_delta(&job.payload) {
+            Some((doc_id, start, end, replacement)) => {
+                (Some((doc_id, start as usize..end as usize)), replacement)
+            }
+            None => {
+                return (
+                    Status::Error,
+                    b"parse-delta payload shorter than its fixed prefix".to_vec(),
+                )
+            }
+        },
+        _ => (None, &job.payload[..]),
     };
-    // Deadline check #2: at epoch-pin time — the last moment before the
-    // server call pins an epoch and commits parser time.
-    let pin_expired = || job.deadline.expired(Instant::now());
+    let Ok(text) = std::str::from_utf8(text) else {
+        return (Status::Error, b"payload is not valid UTF-8".to_vec());
+    };
+    if job.deadline.expired(Instant::now()) {
+        return (
+            Status::DeadlineExceeded,
+            b"deadline expired before epoch pin".to_vec(),
+        );
+    }
     // The parse budget: the tenant's default, tightened by the frontend's
     // per-request config, tightened again by the wire deadline — so a
     // deadline that expires *after* the pin still cancels the parse from
@@ -372,153 +413,47 @@ fn route(shared: &Shared, server: &IpgServer, job: &Job) -> (Status, Vec<u8>) {
         .default_budget()
         .merged(shared.config.parse_budget)
         .tightened_deadline(job.deadline.instant());
-    match job.verb {
-        Verb::Ping => (Status::Ok, Vec::new()),
-        Verb::ParseText => match utf8(&job.payload) {
-            Err(reply) => reply,
-            Ok(text) => {
-                if pin_expired() {
-                    return (
-                        Status::DeadlineExceeded,
-                        b"deadline expired before epoch pin".to_vec(),
-                    );
-                }
-                match server.parse_text_budgeted(&text, budget) {
-                    Ok(parsed) => (
-                        Status::Ok,
-                        parse_outcome_payload(parsed.accepted(), parsed.grammar_version())
-                            .to_vec(),
-                    ),
-                    Err(e) => error_reply(e),
-                }
-            }
+    let parsed = |accepted: bool, grammar_version: u64| {
+        (Status::Ok, parse_outcome_payload(accepted, grammar_version).to_vec())
+    };
+    let rule_edited = |edited: Result<_, SessionError>| match edited {
+        Ok(_) => parsed(true, server.grammar_version()),
+        Err(e) => (Status::Error, e.to_string().into_bytes()),
+    };
+    match (job.verb, delta) {
+        (Verb::ParseText, _) => match server.parse_text_budgeted(text, budget) {
+            Ok(result) => parsed(result.accepted(), result.grammar_version()),
+            Err(e) => error_reply(e),
         },
-        Verb::ParseTokens => match utf8(&job.payload) {
-            Err(reply) => reply,
-            Ok(sentence) => {
-                if pin_expired() {
-                    return (
-                        Status::DeadlineExceeded,
-                        b"deadline expired before epoch pin".to_vec(),
-                    );
-                }
-                match server.parse_sentence_budgeted(&sentence, budget) {
-                    Ok(result) => (
-                        Status::Ok,
-                        parse_outcome_payload(result.accepted, result.grammar_version).to_vec(),
-                    ),
-                    Err(e) => error_reply(e),
-                }
-            }
+        (Verb::ParseTokens, _) => match server.parse_sentence_budgeted(text, budget) {
+            Ok(result) => parsed(result.accepted, result.grammar_version),
+            Err(e) => error_reply(e),
         },
-        Verb::AddRule => match utf8(&job.payload) {
-            Err(reply) => reply,
-            Ok(text) => {
-                if pin_expired() {
-                    return (
-                        Status::DeadlineExceeded,
-                        b"deadline expired before epoch pin".to_vec(),
-                    );
-                }
-                match server.add_rule_text(&text) {
-                    Ok(_) => (
-                        Status::Ok,
-                        parse_outcome_payload(true, server.grammar_version()).to_vec(),
-                    ),
-                    Err(e) => (Status::Error, e.to_string().into_bytes()),
-                }
+        (Verb::AddRule, _) => rule_edited(server.add_rule_text(text)),
+        (Verb::DeleteRule, _) => rule_edited(server.remove_rule_text(text)),
+        (Verb::OpenDoc, _) => match server.open_document_budgeted(text, budget) {
+            Ok(id) => {
+                let accepted = server
+                    .document_info(id)
+                    .map(|info| info.accepted)
+                    .unwrap_or(false);
+                (
+                    Status::Ok,
+                    open_doc_payload(id, accepted, server.grammar_version()).to_vec(),
+                )
             }
+            Err(e) => error_reply(e),
         },
-        Verb::DeleteRule => match utf8(&job.payload) {
-            Err(reply) => reply,
-            Ok(text) => {
-                if pin_expired() {
-                    return (
-                        Status::DeadlineExceeded,
-                        b"deadline expired before epoch pin".to_vec(),
-                    );
-                }
-                match server.remove_rule_text(&text) {
-                    Ok(_) => (
-                        Status::Ok,
-                        parse_outcome_payload(true, server.grammar_version()).to_vec(),
-                    ),
-                    Err(e) => (Status::Error, e.to_string().into_bytes()),
-                }
-            }
-        },
-        Verb::Stats => (Status::Ok, stats_json(shared).into_bytes()),
-        Verb::OpenDoc => match utf8(&job.payload) {
-            Err(reply) => reply,
-            Ok(text) => {
-                if pin_expired() {
-                    return (
-                        Status::DeadlineExceeded,
-                        b"deadline expired before epoch pin".to_vec(),
-                    );
-                }
-                match server.open_document_budgeted(&text, budget) {
-                    Ok(id) => {
-                        let accepted = server
-                            .document_info(id)
-                            .map(|info| info.accepted)
-                            .unwrap_or(false);
-                        (
-                            Status::Ok,
-                            open_doc_payload(id, accepted, server.grammar_version()).to_vec(),
-                        )
-                    }
-                    Err(e) => error_reply(e),
-                }
-            }
-        },
-        Verb::ParseDelta => match decode_parse_delta(&job.payload) {
-            None => (
-                Status::Error,
-                b"parse-delta payload shorter than its fixed prefix".to_vec(),
-            ),
-            Some((doc_id, start, end, replacement)) => match std::str::from_utf8(replacement) {
-                Err(_) => (Status::Error, b"replacement is not valid UTF-8".to_vec()),
-                Ok(replacement) => {
-                    // The deadline is checked *before* the edit is applied:
-                    // an expired delta is shed without mutating the session,
-                    // so the client can retry it verbatim.
-                    if pin_expired() {
-                        return (
-                            Status::DeadlineExceeded,
-                            b"deadline expired before epoch pin".to_vec(),
-                        );
-                    }
-                    match server.apply_edit_budgeted(
-                        doc_id,
-                        start as usize..end as usize,
-                        replacement,
-                        budget,
-                    ) {
-                        Ok(outcome) => (
-                            Status::Ok,
-                            parse_outcome_payload(outcome.accepted(), outcome.grammar_version())
-                                .to_vec(),
-                        ),
-                        Err(e) => error_reply(e),
-                    }
-                }
-            },
-        },
-        Verb::CloseDoc => {
-            if job.payload.len() != 8 {
-                return (Status::Error, b"close-doc payload must be a doc id".to_vec());
-            }
-            let doc_id = u64::from_le_bytes(job.payload[..8].try_into().expect("8 bytes"));
-            match server.close_document(doc_id) {
-                Ok(()) => (Status::Ok, Vec::new()),
-                Err(e) => (Status::Error, e.to_string().into_bytes()),
+        (Verb::ParseDelta, Some((doc_id, range))) => {
+            match server.apply_edit_budgeted(doc_id, range, text, budget) {
+                Ok(outcome) => parsed(outcome.accepted(), outcome.grammar_version()),
+                Err(e) => error_reply(e),
             }
         }
-        // Handled in `execute` before tenant routing.
-        Verb::AttachTenant => unreachable!("attach-tenant is not tenant-routed"),
-        // Handled inline by the connection reader; never queued.
-        Verb::Cancel => unreachable!("cancel is handled at admission"),
+        // `PING`, `STATS` and `CLOSE-DOC` are answered before the
+        // preamble, `ATTACH-TENANT` in `execute` before tenant routing,
+        // and `CANCEL` inline by the connection reader (never queued).
+        (verb, _) => unreachable!("{verb:?} is not routed through the text preamble"),
     }
 }
 

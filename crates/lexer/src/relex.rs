@@ -1,55 +1,107 @@
-//! Bounded incremental re-lexing with token-boundary resynchronisation.
+//! Bounded incremental re-lexing over token-anchored records.
 //!
-//! A document session keeps one [`MatchRec`] per lexed match (layout and
-//! token alike), tiling the text. Each record carries the DFA's *examined
-//! extent* — one past the last character the automaton read while deciding
-//! that match (see `LazyDfa::longest_match_pinned_examined`). An edit can
-//! only change matches whose examined extent reaches it, so the damage
-//! start is found by binary search on the running maximum of the extents,
-//! and re-lexing runs forward from there only until the new token
-//! boundaries re-align with the old ones (a second binary search per
-//! attempted position). Everything before the damage is kept verbatim;
-//! everything after the resynchronisation point is kept shifted. The
-//! result is bit-identical to a cold scan of the edited text, which the
-//! equivalence tests assert record-for-record.
+//! A document session keeps one [`MatchRec`] per *token*: record `i` holds
+//! the run of layout matches (whitespace, comments) before token `i` plus
+//! the token itself, and one final record holds the layout after the last
+//! token (empty when the text ends in a token; the empty document is that
+//! final record alone). The record index therefore equals the token index,
+//! the record count changes exactly when the token count does, and a
+//! record starts where the previous record's token ended.
+//!
+//! Each record carries the DFA's *examined extent* — one past the last
+//! character the automaton read while deciding any of its matches (see
+//! `LazyDfa::longest_match_pinned_examined`). An edit can only change
+//! records whose examined extent reaches it, so the damage start is found
+//! by binary search on the running maximum of the extents. Re-lexing runs
+//! forward from there one record at a time, only until a record boundary
+//! (a token end) lands on an old record start past the edit (a second
+//! binary search per record). Everything before the damage is kept
+//! verbatim, everything from the resynchronisation point on is kept
+//! shifted, and an edit that keeps the token count replaces the damaged
+//! records in place. The result is identical to a cold
+//! [`Scanner::lex_records`] of the edited text, which the tests assert
+//! record-for-record.
+//!
+//! A record also remembers where its last layout match starts and how far
+//! the matches before that one examined. An edit at a token whose leading
+//! layout is a long run of matches (an indented line start) then re-scans
+//! only that last layout match and the token, not the whole run.
+//!
+//! Records store positions as `u32`, so the record functions take texts of
+//! at most [`MAX_TEXT_BYTES`] bytes; callers check that bound first.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::dfa::DfaSnapshot;
 use crate::nfa::TokenId;
 use crate::scanner::{ScanError, Scanner};
 
-/// One lexed match (token or layout) with the bookkeeping incremental
-/// re-lexing needs. Records tile the text: each starts where the previous
-/// one ended.
+/// The largest text, in bytes, the record functions accept. A record's
+/// examined extent can be one past the end of the text, and it must still
+/// fit a `u32`.
+pub const MAX_TEXT_BYTES: usize = u32::MAX as usize - 1;
+
+/// The `slot` of the final record, which holds no token.
+const NO_TOKEN: u32 = u32::MAX;
+
+/// One token-anchored record: a token with the layout before it, or the
+/// final record's trailing layout. Records tile the text; a record's
+/// length is the distance to the next record's start (or to the end of
+/// the text for the final record).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MatchRec {
-    /// The token-id slot the match hit.
-    pub slot: TokenId,
-    /// Whether the slot is a layout definition (whitespace/comments —
-    /// lexed but not fed to the parser).
-    pub layout: bool,
-    /// Start of the match in characters.
-    pub char_start: usize,
-    /// Length of the match in characters.
-    pub char_len: usize,
-    /// Start of the match in bytes.
-    pub byte_start: usize,
-    /// Length of the match in bytes.
-    pub byte_len: usize,
+    /// The token's token-id slot, or `NO_TOKEN` for the final record.
+    slot: u32,
+    /// Start of the record (its leading layout) in characters.
+    char_start: u32,
+    /// Start of the record in bytes.
+    byte_start: u32,
     /// One past the last character index the DFA examined while deciding
-    /// this match — `chars.len() + 1` when the decision depended on
-    /// running out of input, so that appends at the end register as
-    /// damage.
-    pub examined_end: usize,
+    /// this record's matches. The final record's decision depends on
+    /// running out of input, so its extent is `chars.len() + 1`: an append
+    /// at the end registers as damage.
+    examined_end: u32,
     /// Running maximum of `examined_end` over all records up to and
     /// including this one. Monotone, so the first record an edit can
     /// influence is found by binary search.
-    pub examined_max: usize,
-    /// Number of non-layout matches strictly before this record — the
-    /// token-index coordinate the parser's damage position is derived
-    /// from.
-    pub tokens_before: u32,
+    examined_max: u32,
+    /// Offset in characters from the record start to its last layout
+    /// match, where a re-scan may resume; 0 when there is no such match
+    /// past the start or the offsets do not fit 16 bits.
+    tail_off: u16,
+    /// The examined extent of the matches before the last layout match,
+    /// as an offset from the record start: a re-scan may resume at
+    /// `tail_off` when the edit starts at or after it.
+    head_examined_off: u16,
+}
+
+impl MatchRec {
+    /// The token's token-id slot; `None` for the final record.
+    pub fn slot(&self) -> Option<TokenId> {
+        (self.slot != NO_TOKEN).then_some(self.slot as TokenId)
+    }
+
+    /// Start of the record (its leading layout) in characters.
+    pub fn char_start(&self) -> usize {
+        self.char_start as usize
+    }
+
+    /// Start of the record (its leading layout) in bytes.
+    pub fn byte_start(&self) -> usize {
+        self.byte_start as usize
+    }
+}
+
+/// Converts a text position to its record form. The callers' texts are at
+/// most [`MAX_TEXT_BYTES`] long, so this never fails for them.
+fn pos32(pos: usize) -> u32 {
+    u32::try_from(pos).expect("record text longer than MAX_TEXT_BYTES")
+}
+
+/// Shifts a stored position by an edit's length change.
+fn shifted(pos: u32, delta: i64) -> u32 {
+    pos32((i64::from(pos) + delta) as usize)
 }
 
 /// An edit in both coordinate systems: characters `[char_start..char_end)`
@@ -72,29 +124,29 @@ pub struct CharEdit {
     pub repl_bytes: usize,
 }
 
-/// What one [`Scanner::relex_splice`] did, in record and token counts —
-/// the numbers the serving layer turns into a token-vector splice and its
-/// `tokens_relexed` counter.
+/// What one [`Scanner::relex_splice`] did. Record and token indices agree,
+/// so these numbers are also the token-vector splice the serving layer
+/// makes.
 #[derive(Clone, Copy, Debug)]
 pub struct RelexOutcome {
-    /// Index of the first replaced record; records before it were kept
-    /// verbatim.
+    /// Index of the first replaced record; records (and tokens) before it
+    /// were kept verbatim. This is the parser's damage position.
     pub first_damaged: usize,
     /// Number of records produced by actually running the DFA (the rest of
-    /// the tail was kept, shifted).
+    /// the tail was kept, shifted). Each holds one token with its leading
+    /// layout, except a re-scanned final record.
     pub relexed: usize,
-    /// Non-layout tokens before the damage — the parser's damage position.
-    pub tokens_before_damage: usize,
-    /// Non-layout tokens among the replaced records.
+    /// Tokens among the replaced records.
     pub old_tokens_removed: usize,
-    /// Non-layout tokens among the re-lexed records.
+    /// Tokens among the re-lexed records; they are the records
+    /// `first_damaged..first_damaged + new_tokens`.
     pub new_tokens: usize,
 }
 
 /// Converts a byte-range edit of `old_text` (replace `start..end` with
-/// `replacement`) into [`CharEdit`] coordinates, using `recs` (the match
-/// records of `old_text`) to count characters from the nearest record
-/// boundary instead of from the start of the document.
+/// `replacement`) into [`CharEdit`] coordinates, using `recs` (the records
+/// of `old_text`) to count characters from the nearest record start
+/// instead of from the start of the document.
 pub fn char_edit(
     recs: &[MatchRec],
     old_text: &str,
@@ -103,9 +155,9 @@ pub fn char_edit(
     replacement: &str,
 ) -> CharEdit {
     let char_of = |byte: usize| -> usize {
-        let j = recs.partition_point(|r| r.byte_start <= byte);
+        let j = recs.partition_point(|r| r.byte_start() <= byte);
         match j.checked_sub(1).and_then(|j| recs.get(j)) {
-            Some(r) => r.char_start + old_text[r.byte_start..byte].chars().count(),
+            Some(r) => r.char_start() + old_text[r.byte_start()..byte].chars().count(),
             None => old_text[..byte].chars().count(),
         }
     };
@@ -119,6 +171,35 @@ pub fn char_edit(
     }
 }
 
+/// A scanned record plus where it ends, in characters and bytes.
+struct Scanned {
+    rec: MatchRec,
+    char_end: usize,
+    byte_end: usize,
+}
+
+/// What one run of the DFA over (the rest of) a record found.
+struct Matched {
+    /// The token's slot, or `NO_TOKEN` at the end of the text.
+    slot: u32,
+    /// Start of the last layout match, with the examined extent of the
+    /// matches before it.
+    tail: Option<(usize, usize)>,
+    /// Where the scan ended, with the examined extent of all its matches.
+    end: ScanFrom,
+}
+
+/// Where a record's scan begins: the record start, or a match boundary
+/// inside it whose preceding matches are known to be unchanged.
+#[derive(Clone, Copy)]
+struct ScanFrom {
+    char_pos: usize,
+    byte_pos: usize,
+    /// The examined extent of the matches before `char_pos` (the record
+    /// start itself when there are none).
+    examined: usize,
+}
+
 impl Scanner {
     /// Pins the scanner's current DFA snapshot — the pin a document
     /// session holds across [`Scanner::lex_records`] /
@@ -129,7 +210,9 @@ impl Scanner {
     }
 
     /// Scans all of `chars` into `recs` (cleared first) — the cold start
-    /// of a document session.
+    /// of a document session. On success `recs` holds one record per
+    /// token plus the final record. The text must be at most
+    /// [`MAX_TEXT_BYTES`] bytes long.
     pub fn lex_records(
         &self,
         pin: &mut Arc<DfaSnapshot>,
@@ -137,18 +220,15 @@ impl Scanner {
         recs: &mut Vec<MatchRec>,
     ) -> Result<(), ScanError> {
         recs.clear();
-        let mut char_pos = 0usize;
-        let mut byte_pos = 0usize;
-        let mut examined_max = 0usize;
-        let mut tokens = 0u32;
-        while char_pos < chars.len() {
-            let rec = self.scan_one(pin, chars, char_pos, byte_pos, &mut examined_max, tokens)?;
-            char_pos += rec.char_len;
-            byte_pos += rec.byte_len;
-            tokens += u32::from(!rec.layout);
-            recs.push(rec);
+        let (mut char_pos, mut byte_pos, mut examined_max) = (0, 0, 0);
+        loop {
+            let s = self.scan_record(pin, chars, char_pos, byte_pos, None, &mut examined_max)?;
+            recs.push(s.rec);
+            if s.rec.slot().is_none() {
+                return Ok(());
+            }
+            (char_pos, byte_pos) = (s.char_end, s.byte_end);
         }
-        Ok(())
     }
 
     /// Re-lexes the damaged region of an edited document. `chars` is the
@@ -156,7 +236,8 @@ impl Scanner {
     /// of the old text, `edit` the splice that produced `chars`. On
     /// success `recs` describes the new text exactly as
     /// [`Scanner::lex_records`] would, with only the damaged region having
-    /// been re-scanned.
+    /// been re-scanned. The new text must be at most [`MAX_TEXT_BYTES`]
+    /// bytes long.
     ///
     /// On a scan error `recs` is left *unchanged* — it still describes the
     /// old text and no longer matches `chars`; the caller must mark the
@@ -169,133 +250,236 @@ impl Scanner {
         chars: &[char],
         edit: CharEdit,
     ) -> Result<RelexOutcome, ScanError> {
-        let delta_chars = edit.repl_chars as isize - (edit.char_end - edit.char_start) as isize;
-        let delta_bytes = edit.repl_bytes as isize - (edit.byte_end - edit.byte_start) as isize;
-        let total_tokens = recs
-            .last()
-            .map_or(0, |r| r.tokens_before + u32::from(!r.layout));
+        let delta_chars = edit.repl_chars as i64 - (edit.char_end - edit.char_start) as i64;
+        let delta_bytes = edit.repl_bytes as i64 - (edit.byte_end - edit.byte_start) as i64;
 
-        // The first record whose examined extent reaches the edit; its
-        // start is necessarily at or before the edit (records tile and the
+        // The first record whose examined extent reaches the edit. The
+        // final record examined past the end of the old text, so there is
+        // one; its start is at or before the edit (records tile, and the
         // previous record examined past its own end), so scanning starts
         // in the unshifted prefix where old and new coordinates agree.
-        let j0 = recs.partition_point(|r| r.examined_max <= edit.char_start);
-        let (mut char_pos, mut byte_pos, mut tokens) = match recs.get(j0) {
-            Some(r) => (r.char_start, r.byte_start, r.tokens_before),
-            // Only an empty record list reaches here: a scan of non-empty
-            // text always examines through its own end.
-            None => (0, 0, total_tokens),
-        };
-        let tokens_at_damage = tokens;
-        let mut examined_max = match j0.checked_sub(1) {
-            Some(j) => recs[j].examined_max,
-            None => 0,
-        };
+        let j0 = recs.partition_point(|r| r.examined_max as usize <= edit.char_start);
+        let first = recs[j0];
+        let (mut char_pos, mut byte_pos) = (first.char_start(), first.byte_start());
+        let mut examined_max = j0.checked_sub(1).map_or(0, |j| recs[j].examined_max);
+        // Within that record, the matches before its last layout match are
+        // unchanged when they examined nothing at or past the edit: the
+        // first re-scan resumes at that match.
+        let head_examined = first.char_start() + usize::from(first.head_examined_off);
+        let mut resume = (first.tail_off > 0 && head_examined <= edit.char_start).then(|| {
+            let from = first.char_start() + usize::from(first.tail_off);
+            ScanFrom {
+                char_pos: from,
+                byte_pos: byte_pos + utf8_len(&chars[char_pos..from]),
+                examined: head_examined,
+            }
+        });
 
         // From this new-text position on, every character maps 1:1 onto
         // the old suffix — the precondition for resynchronising.
         let edit_new_end = edit.char_start + edit.repl_chars;
-        let mut scanned: Vec<MatchRec> = Vec::new();
-        let mut resync: Option<usize> = None;
-        loop {
+        // Re-scanned records are staged past the old end of `recs`; a scan
+        // error truncates them away again, leaving `recs` as it was.
+        let old_len = recs.len();
+        let resync = loop {
             if char_pos >= edit_new_end {
-                let old_pos = (char_pos as isize - delta_chars) as usize;
-                if let Ok(rel) = recs[j0..].binary_search_by_key(&old_pos, |r| r.char_start) {
-                    // An old match starts exactly here and sees the same
+                let old_pos = (char_pos as i64 - delta_chars) as usize;
+                let old_recs = &recs[j0..old_len];
+                if let Ok(rel) = old_recs.binary_search_by_key(&old_pos, MatchRec::char_start) {
+                    // An old record starts exactly here and sees the same
                     // suffix (equal content, equal distance to the end):
                     // it and everything after it re-lex identically.
-                    resync = Some(j0 + rel);
+                    break Some(j0 + rel);
+                }
+            }
+            let scan = self.scan_record(
+                pin,
+                chars,
+                char_pos,
+                byte_pos,
+                resume.take(),
+                &mut examined_max,
+            );
+            let s = match scan {
+                Ok(s) => s,
+                Err(e) => {
+                    recs.truncate(old_len);
+                    return Err(e);
+                }
+            };
+            recs.push(s.rec);
+            if s.rec.slot().is_none() {
+                break None;
+            }
+            (char_pos, byte_pos) = (s.char_end, s.byte_end);
+        };
+
+        // Without a resynchronisation both the replaced range and the
+        // re-scan end with a final record, which holds no token.
+        let replaced_end = resync.unwrap_or(old_len);
+        let relexed = recs.len() - old_len;
+        let final_rescanned = usize::from(resync.is_none());
+        let out = RelexOutcome {
+            first_damaged: j0,
+            relexed,
+            old_tokens_removed: replaced_end - j0 - final_rescanned,
+            new_tokens: relexed - final_rescanned,
+        };
+        if let Some(jr) = resync {
+            let unshifted = delta_chars == 0 && delta_bytes == 0;
+            let mut running_max = examined_max;
+            for r in &mut recs[jr..old_len] {
+                // A same-length edit moves nothing: once the running
+                // examined maximum agrees with a record's, it agrees with
+                // every later one, so the rest of the suffix is already
+                // exact and the splice stays O(damage).
+                if unshifted && r.examined_max == running_max.max(r.examined_end) {
                     break;
                 }
-            }
-            if char_pos >= chars.len() {
-                break;
-            }
-            let rec = self.scan_one(pin, chars, char_pos, byte_pos, &mut examined_max, tokens)?;
-            char_pos += rec.char_len;
-            byte_pos += rec.byte_len;
-            tokens += u32::from(!rec.layout);
-            scanned.push(rec);
-        }
-
-        let outcome = |old_tokens_removed: u32| RelexOutcome {
-            first_damaged: j0,
-            relexed: scanned.len(),
-            tokens_before_damage: tokens_at_damage as usize,
-            old_tokens_removed: old_tokens_removed as usize,
-            new_tokens: (tokens - tokens_at_damage) as usize,
-        };
-        match resync {
-            Some(jr) => {
-                let out = outcome(recs[jr].tokens_before - tokens_at_damage);
-                let token_delta = tokens as i64 - recs[jr].tokens_before as i64;
-                let unshifted = delta_chars == 0 && delta_bytes == 0 && token_delta == 0;
-                let mut running_max = examined_max;
-                for r in &mut recs[jr..] {
-                    // A same-length edit moves nothing: once the running
-                    // examined maximum agrees with a record's, it agrees
-                    // with every later one, so the rest of the suffix is
-                    // already exact and the splice stays O(damage).
-                    if unshifted && r.examined_max == running_max.max(r.examined_end) {
-                        break;
-                    }
-                    r.char_start = (r.char_start as isize + delta_chars) as usize;
-                    r.byte_start = (r.byte_start as isize + delta_bytes) as usize;
-                    r.examined_end = (r.examined_end as isize + delta_chars) as usize;
-                    r.tokens_before = (r.tokens_before as i64 + token_delta) as u32;
-                    running_max = running_max.max(r.examined_end);
-                    r.examined_max = running_max;
-                }
-                recs.splice(j0..jr, scanned);
-                Ok(out)
-            }
-            None => {
-                let out = outcome(total_tokens - tokens_at_damage);
-                recs.truncate(j0);
-                recs.extend(scanned);
-                Ok(out)
+                r.char_start = shifted(r.char_start, delta_chars);
+                r.byte_start = shifted(r.byte_start, delta_bytes);
+                r.examined_end = shifted(r.examined_end, delta_chars);
+                running_max = running_max.max(r.examined_end);
+                r.examined_max = running_max;
             }
         }
+        splice_staged(recs, j0..replaced_end, old_len);
+        Ok(out)
     }
 
-    fn scan_one(
+    /// Scans one record starting at `char_start`: layout matches up to
+    /// and including the next token, or up to the end of the text for the
+    /// final record. With `resume`, the scan starts at that match boundary
+    /// instead; if it then finds no layout match, the record's last layout
+    /// match lies before the resume point and the record is scanned again
+    /// from its start, so the record always equals a cold scan's.
+    fn scan_record(
         &self,
         pin: &mut Arc<DfaSnapshot>,
         chars: &[char],
         char_start: usize,
         byte_start: usize,
-        examined_max: &mut usize,
-        tokens_before: u32,
-    ) -> Result<MatchRec, ScanError> {
-        let (m, examined_end) = self
-            .dfa()
-            .longest_match_pinned_examined(pin, chars, char_start);
-        let (char_len, slot) = match m {
-            Some((len, slot)) if len > 0 => (len, slot),
-            _ => {
-                return Err(ScanError::UnexpectedCharacter {
-                    offset: byte_start,
-                    character: chars[char_start],
-                })
-            }
+        resume: Option<ScanFrom>,
+        examined_max: &mut u32,
+    ) -> Result<Scanned, ScanError> {
+        let from_start = ScanFrom {
+            char_pos: char_start,
+            byte_pos: byte_start,
+            examined: char_start,
         };
-        let byte_len = chars[char_start..char_start + char_len]
-            .iter()
-            .map(|c| c.len_utf8())
-            .sum();
+        let resumed = match resume {
+            Some(from) => Some(self.scan_matches(pin, chars, from)?).filter(|m| m.tail.is_some()),
+            None => None,
+        };
+        let Matched { slot, tail, end } = match resumed {
+            Some(matched) => matched,
+            None => self.scan_matches(pin, chars, from_start)?,
+        };
+        let (tail_off, head_examined_off) = tail
+            .and_then(|(at, examined)| {
+                Some((
+                    u16::try_from(at - char_start).ok()?,
+                    u16::try_from(examined - char_start).ok()?,
+                ))
+            })
+            .unwrap_or((0, 0));
+        let examined_end = pos32(end.examined);
         *examined_max = (*examined_max).max(examined_end);
-        Ok(MatchRec {
-            slot,
-            layout: self.slot(slot).is_some_and(|d| d.layout),
-            char_start,
-            char_len,
-            byte_start,
-            byte_len,
-            examined_end,
-            examined_max: *examined_max,
-            tokens_before,
+        Ok(Scanned {
+            rec: MatchRec {
+                slot,
+                char_start: pos32(char_start),
+                byte_start: pos32(byte_start),
+                examined_end,
+                examined_max: *examined_max,
+                tail_off,
+                head_examined_off,
+            },
+            char_end: end.char_pos,
+            byte_end: end.byte_pos,
         })
     }
+
+    /// Runs the DFA from `from` up to and including the next token (or to
+    /// the end of the text).
+    fn scan_matches(
+        &self,
+        pin: &mut Arc<DfaSnapshot>,
+        chars: &[char],
+        from: ScanFrom,
+    ) -> Result<Matched, ScanError> {
+        let ScanFrom {
+            mut char_pos,
+            mut byte_pos,
+            mut examined,
+        } = from;
+        let mut tail = None;
+        loop {
+            if char_pos == chars.len() {
+                // The end of the record depends on running out of input.
+                let end = ScanFrom {
+                    char_pos,
+                    byte_pos,
+                    examined: chars.len() + 1,
+                };
+                return Ok(Matched {
+                    slot: NO_TOKEN,
+                    tail,
+                    end,
+                });
+            }
+            let (m, match_examined) = self
+                .dfa()
+                .longest_match_pinned_examined(pin, chars, char_pos);
+            let (char_len, slot) = match m {
+                Some((len, slot)) if len > 0 => (len, slot),
+                _ => {
+                    return Err(ScanError::UnexpectedCharacter {
+                        offset: byte_pos,
+                        character: chars[char_pos],
+                    })
+                }
+            };
+            let layout = self.slot(slot).is_some_and(|d| d.layout);
+            if layout {
+                tail = Some((char_pos, examined));
+            }
+            examined = examined.max(match_examined);
+            byte_pos += utf8_len(&chars[char_pos..char_pos + char_len]);
+            char_pos += char_len;
+            if !layout {
+                let end = ScanFrom {
+                    char_pos,
+                    byte_pos,
+                    examined,
+                };
+                return Ok(Matched {
+                    slot: pos32(slot),
+                    tail,
+                    end,
+                });
+            }
+        }
+    }
+}
+
+/// Replaces `v[range]` with the elements staged past `staged_from` (the
+/// vector's length before they were pushed) and drops the staging area.
+/// When both have the same length, as for an edit that keeps the token
+/// count, this is a copy in place that moves nothing else.
+pub fn splice_staged<T: Copy>(v: &mut Vec<T>, range: Range<usize>, staged_from: usize) {
+    if v.len() - staged_from == range.len() {
+        v.copy_within(staged_from.., range.start);
+        v.truncate(staged_from);
+    } else {
+        let staged = v.split_off(staged_from);
+        v.splice(range, staged);
+    }
+}
+
+/// The UTF-8 length of `chars` in bytes.
+fn utf8_len(chars: &[char]) -> usize {
+    chars.iter().map(|c| c.len_utf8()).sum()
 }
 
 #[cfg(test)]
@@ -312,9 +496,15 @@ mod tests {
     }
 
     /// Applies `start..end -> replacement` incrementally and checks the
-    /// record list is bit-identical to a cold scan of the edited text.
-    /// Returns the outcome for extra assertions.
-    fn check_splice(scanner: &Scanner, text: &str, start: usize, end: usize, repl: &str) -> RelexOutcome {
+    /// record list is identical to a cold scan of the edited text.
+    /// Returns the outcome and the new record count for extra assertions.
+    fn check_splice(
+        scanner: &Scanner,
+        text: &str,
+        start: usize,
+        end: usize,
+        repl: &str,
+    ) -> (RelexOutcome, usize) {
         let mut recs = records(scanner, text);
         let edit = char_edit(&recs, text, start, end, repl);
         let mut new_text = text.to_owned();
@@ -329,7 +519,7 @@ mod tests {
             records(scanner, &new_text),
             "`{text}` [{start}..{end}) -> `{repl}`"
         );
-        out
+        (out, recs.len())
     }
 
     fn test_scanner() -> Scanner {
@@ -337,35 +527,129 @@ mod tests {
     }
 
     #[test]
+    fn records_are_token_anchored() {
+        let s = test_scanner();
+        for text in ["", "  ", "if", "if x", " if  x -- c\n", "-- only a comment"] {
+            let recs = records(&s, text);
+            let tokens = s.tokenize(text).unwrap();
+            assert_eq!(recs.len(), tokens.len() + 1, "`{text}`");
+            let slots: Vec<_> = recs.iter().map(MatchRec::slot).collect();
+            let last = slots.len() - 1;
+            assert!(slots[..last].iter().all(Option::is_some), "`{text}`");
+            assert_eq!(
+                slots[last], None,
+                "`{text}`: the final record holds no token"
+            );
+            assert_eq!(recs[0].char_start(), 0);
+        }
+        assert_eq!(std::mem::size_of::<MatchRec>(), 24);
+    }
+
+    #[test]
     fn splices_match_cold_scan() {
         let s = test_scanner();
         let text = "if alpha then beta42 else gamma -- tail comment\nnext 99";
         for (start, end, repl) in [
-            (0, 0, "if "),              // insert at front
-            (3, 8, "zz"),               // replace a word
-            (3, 3, "x"),                // insert inside a word
-            (2, 4, ""),                 // delete across a boundary
-            (8, 9, ""),                 // delete a space: merges tokens
-            (14, 14, " "),              // split a token
-            (18, 20, "x y"),            // digits -> words
-            (text.len(), text.len(), "9"), // append (EOF-sensitive)
+            (0, 0, "if "),                    // insert at front
+            (3, 8, "zz"),                     // replace a word
+            (3, 3, "x"),                      // insert inside a word
+            (2, 4, ""),                       // delete across a boundary
+            (8, 9, ""),                       // delete a space: merges tokens
+            (14, 14, " "),                    // split a token
+            (18, 20, "x y"),                  // digits -> words
+            (text.len(), text.len(), "9"),    // append (EOF-sensitive)
             (text.len() - 2, text.len(), ""), // delete at end
-            (34, 38, "still"),          // edit inside the comment
-            (31, 32, "\n"),             // newline ends the comment early
-            (0, text.len(), "then"),    // replace everything
-            (5, 5, ""),                 // no-op edit
+            (34, 38, "still"),                // edit inside the comment
+            (31, 32, "\n"),                   // newline ends the comment early
+            (0, text.len(), "then"),          // replace everything
+            (5, 5, ""),                       // no-op edit
         ] {
             check_splice(&s, text, start, end, repl);
         }
     }
 
     #[test]
+    fn layout_count_changes_keep_the_record_count() {
+        let s = test_scanner();
+        let text = "if alpha  then -- note\nbeta else x -- tail";
+        let count = records(&s, text).len();
+        for (start, end, repl) in [
+            (2, 2, "   "),                  // whitespace insert between tokens
+            (8, 9, ""),                     // whitespace delete between tokens
+            (8, 10, " -- c\n "),            // whitespace becomes a comment
+            (14, 23, "\t"),                 // a comment becomes whitespace
+            (14, 23, " \t\n\n \t\n\n "),    // same length, fewer layout matches
+            (0, 0, "  "),                   // layout before the first token
+            (0, 0, "-- head\n"),            // comment before the first token
+            (text.len(), text.len(), "\n"), // trailing layout grows at EOF
+            (35, text.len(), ""),           // trailing layout removed at EOF
+        ] {
+            let (out, len) = check_splice(&s, text, start, end, repl);
+            assert_eq!(
+                len, count,
+                "[{start}..{end}) -> `{repl:?}` keeps one record per token"
+            );
+            assert_eq!(out.old_tokens_removed, out.new_tokens);
+        }
+        // The empty document is one (final) record, with or without layout.
+        for (text, start, end, repl) in [
+            ("", 0, 0, "  -- c"),
+            ("  -- c", 0, 6, ""),
+            (" ", 1, 1, "\n"),
+        ] {
+            let (out, len) = check_splice(&s, text, start, end, repl);
+            assert_eq!(len, 1, "`{text}` -> `{repl:?}`");
+            assert_eq!((out.first_damaged, out.new_tokens), (0, 0));
+        }
+    }
+
+    #[test]
+    fn same_length_relayout_rescans_only_the_damaged_record() {
+        let s = test_scanner();
+        let text = format!("x   \n{}", "word ".repeat(200));
+        let (out, _) = check_splice(&s, &text, 2, 5, "--\n");
+        assert_eq!(
+            out.first_damaged, 1,
+            "the damage starts at the second token"
+        );
+        assert_eq!(
+            out.relexed, 1,
+            "one token record re-scanned with its layout"
+        );
+    }
+
+    #[test]
+    fn rescans_resume_at_the_last_layout_match() {
+        let s = simple_scanner(&["-"]);
+        // `y`'s record is ` `, `-- c`, `\n   `, `y`: an edit at `y`
+        // resumes at `\n   `, after the comment.
+        let text = "x -- c\n   y z";
+        let recs = records(&s, text);
+        assert_eq!((recs[1].char_start(), recs[1].tail_off), (1, 5));
+        assert_eq!(
+            recs[1].head_examined_off, 6,
+            "the comment examined the newline"
+        );
+        for (start, end, repl) in [(10, 11, "w"), (10, 11, "  w"), (8, 11, "v"), (7, 10, "")] {
+            check_splice(&s, text, start, end, repl);
+        }
+        // The final record ` `, `-- x`, `\n`, `-- c`: an edit inside the
+        // last comment resumes at it, finds the token `-` instead of
+        // layout, and re-scans the record from its start, whose last
+        // layout match is then the newline.
+        let text = "a -- x\n-- c";
+        assert_eq!(records(&s, text)[1].tail_off, 6);
+        check_splice(&s, text, 8, 9, "x");
+        check_splice(&s, text, 8, 11, "- b");
+    }
+
+    #[test]
     fn whole_token_delete_resyncs_immediately() {
         let s = test_scanner();
         // Deleting `alpha ` on a whole-record boundary: the damage starts
-        // at the preceding space (it examined into `alpha`), and the tail
-        // re-aligns after at most that one re-scan.
-        let out = check_splice(&s, "if alpha then beta", 3, 9, "");
+        // at the record of `alpha` (its layout examined from the space
+        // into it), and the tail re-aligns after at most that re-scan.
+        let (out, _) = check_splice(&s, "if alpha then beta", 3, 9, "");
         assert!(out.relexed <= 1, "relexed {} records", out.relexed);
         assert_eq!(out.old_tokens_removed, out.new_tokens + 1);
     }
@@ -373,18 +657,18 @@ mod tests {
     #[test]
     fn whitespace_only_edit_keeps_tokens() {
         let s = test_scanner();
-        let out = check_splice(&s, "if alpha  then beta", 8, 10, " \t ");
+        let (out, _) = check_splice(&s, "if alpha  then beta", 8, 10, " \t ");
         assert_eq!(out.old_tokens_removed, out.new_tokens);
-        assert!(out.relexed <= 3);
+        assert!(out.relexed <= 2);
     }
 
     #[test]
     fn edit_far_from_tail_leaves_tail_untouched() {
         let s = test_scanner();
         let text = "word ".repeat(200);
-        let out = check_splice(&s, &text, 7, 9, "x");
-        assert!(out.first_damaged <= 3);
-        assert!(out.relexed <= 4, "relexed {} records", out.relexed);
+        let (out, _) = check_splice(&s, &text, 7, 9, "x");
+        assert!(out.first_damaged <= 2);
+        assert!(out.relexed <= 2, "relexed {} records", out.relexed);
     }
 
     #[test]
@@ -417,9 +701,57 @@ mod tests {
         let err = s.relex_splice(&mut pin, &mut recs, &chars, edit);
         assert!(matches!(
             err,
-            Err(ScanError::UnexpectedCharacter { character: '%', .. })
+            Err(ScanError::UnexpectedCharacter {
+                character: '%',
+                offset: 3
+            })
         ));
         assert_eq!(recs, before);
+    }
+
+    /// Random edit scripts over a small alphabet of tokens and layout,
+    /// each step checked against a cold scan (a step whose text does not
+    /// lex must leave the records as they were).
+    #[test]
+    fn random_edit_scripts_match_cold_scans() {
+        let s = test_scanner();
+        let pieces = ["if", "x", "42", " ", "  ", "\n", "-- c", "ä", "then", "-"];
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |n: usize| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % n as u64) as usize
+        };
+        let mut text = String::from("if x then 42 -- c\n x");
+        let mut recs = records(&s, &text);
+        for _ in 0..2000 {
+            let boundaries: Vec<usize> = (0..=text.len())
+                .filter(|&i| text.is_char_boundary(i))
+                .collect();
+            let a = boundaries[next(boundaries.len())];
+            let b = boundaries[next(boundaries.len())];
+            let (start, end) = (a.min(b), a.max(b).min(a.min(b) + 6));
+            let end = *boundaries.iter().rev().find(|&&i| i <= end).unwrap();
+            let repl: String = (0..next(3)).map(|_| pieces[next(pieces.len())]).collect();
+            let edit = char_edit(&recs, &text, start, end, &repl);
+            let mut new_text = text.clone();
+            new_text.replace_range(start..end, &repl);
+            let chars: Vec<char> = new_text.chars().collect();
+            let before = recs.clone();
+            let mut pin = s.dfa_snapshot();
+            match s.relex_splice(&mut pin, &mut recs, &chars, edit) {
+                Ok(_) => {
+                    assert_eq!(
+                        recs,
+                        records(&s, &new_text),
+                        "`{text}` [{start}..{end}) -> `{repl}`"
+                    );
+                    text = new_text;
+                }
+                Err(_) => assert_eq!(recs, before, "a failed re-lex keeps the old records"),
+            }
+        }
     }
 
     #[test]

@@ -325,6 +325,141 @@ proptest! {
     }
 }
 
+/// Layout atoms: whitespace and a newline-terminated comment (after a
+/// space, since an identifier may contain `-`).
+const LAYOUT_ATOMS: [&str; 4] = [" ", "\n", "\t", " --c\n"];
+
+/// A document as tokens with the layout around them: `gaps[0]` leads,
+/// `gaps[i]` sits between tokens `i - 1` and `i`, and the last gap
+/// trails. Gaps between two tokens are never empty.
+#[derive(Clone, Debug)]
+struct LaidOut {
+    tokens: Vec<usize>,
+    gaps: Vec<String>,
+}
+
+impl LaidOut {
+    fn text(&self) -> String {
+        let mut text = self.gaps[0].clone();
+        for (token, gap) in self.tokens.iter().zip(&self.gaps[1..]) {
+            text.push_str(TERMINAL_NAMES[*token]);
+            text.push_str(gap);
+        }
+        text
+    }
+
+    /// The byte range of gap `k` in [`LaidOut::text`].
+    fn gap_range(&self, k: usize) -> std::ops::Range<usize> {
+        let start = self.gaps[..k].iter().map(String::len).sum::<usize>()
+            + self.tokens[..k].iter().map(|&t| TERMINAL_NAMES[t].len()).sum::<usize>();
+        start..start + self.gaps[k].len()
+    }
+}
+
+/// Layout from atom codes, at least `min` atoms long.
+fn layout(atoms: &[usize], min: usize) -> String {
+    let mut gap: String = atoms.iter().map(|&a| LAYOUT_ATOMS[a % LAYOUT_ATOMS.len()]).collect();
+    if gap.len() < min {
+        gap.push(' ');
+    }
+    gap
+}
+
+/// Layout of exactly `len` bytes from atom codes: a comment where it fits
+/// and the code asks for one, single whitespace characters otherwise.
+fn layout_of_len(atoms: &[usize], len: usize) -> String {
+    let mut gap = String::new();
+    let mut codes = atoms.iter().cycle();
+    while gap.len() < len {
+        let atom = LAYOUT_ATOMS[codes.next().map_or(0, |&a| a % LAYOUT_ATOMS.len())];
+        gap.push_str(if gap.len() + atom.len() <= len { atom } else { " " });
+    }
+    gap
+}
+
+/// One layout edit: replace gap `at` (modulo the gap count) by the layout
+/// `atoms` spell — of any length, or of the old gap's byte length when
+/// `same_len` is set.
+#[derive(Clone, Debug)]
+struct Relayout {
+    at: usize,
+    same_len: bool,
+    atoms: Vec<usize>,
+}
+
+fn relayout_strategy() -> impl Strategy<Value = Relayout> {
+    (0..10_000usize, any::<bool>(), prop::collection::vec(0..4usize, 0..=4))
+        .prop_map(|(at, same_len, atoms)| Relayout { at, same_len, atoms })
+}
+
+fn laid_out_strategy() -> impl Strategy<Value = LaidOut> {
+    (
+        prop::collection::vec((0..3usize, prop::collection::vec(0..4usize, 0..=3)), 0..=16),
+        prop::collection::vec(0..4usize, 0..=3),
+    )
+        .prop_map(|(pairs, lead)| {
+            let mut gaps = vec![layout(&lead, 0)];
+            let mut tokens = Vec::with_capacity(pairs.len());
+            for (i, (token, atoms)) in pairs.iter().enumerate() {
+                tokens.push(*token);
+                gaps.push(layout(atoms, usize::from(i + 1 < pairs.len())));
+            }
+            LaidOut { tokens, gaps }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// Layout-only edit scripts over random grammars: whitespace and
+    /// comments before, between and after the tokens are rewritten, some
+    /// to the same byte length with a different number of layout matches.
+    /// The token sequence never changes, so every edit is incremental,
+    /// re-runs no GSS state and keeps the token count — and the session
+    /// still digest-matches a cold parse of the edited text.
+    #[test]
+    fn layout_edit_scripts_match_cold_reparses(
+        spec in grammar_spec(true),
+        doc in laid_out_strategy(),
+        edits in prop::collection::vec(relayout_strategy(), 1..=10),
+    ) {
+        let server = spec_server(&spec);
+        let mut doc = doc;
+        let id = server.open_document(&doc.text()).expect("initial document lexes");
+        let tokens = server.document_info(id).unwrap().tokens;
+        prop_assert_eq!(tokens, doc.tokens.len());
+        for edit in &edits {
+            let k = edit.at % doc.gaps.len();
+            let inner = k > 0 && k < doc.tokens.len();
+            let range = doc.gap_range(k);
+            let gap = if edit.same_len {
+                layout_of_len(&edit.atoms, range.len())
+            } else {
+                layout(&edit.atoms, usize::from(inner))
+            };
+            if range.is_empty() && gap.is_empty() {
+                continue;
+            }
+            server.apply_edit(id, range, &gap).expect("a layout edit lexes and parses");
+            doc.gaps[k] = gap;
+            let text = doc.text();
+            prop_assert_eq!(&server.document_text(id).unwrap(), &text);
+            prop_assert_eq!(server.document_info(id).unwrap().tokens, tokens);
+            let cold = server.parse_text(&text).expect("cold parse of a lexable text");
+            prop_assert_eq!(
+                digest(&server.document_result(id).unwrap()),
+                digest(&cold),
+                "layout edit diverged from the cold re-parse of {:?}",
+                text
+            );
+        }
+        let merged = server.stats().merged();
+        prop_assert_eq!(merged.reparse_full, 0, "layout edits never rebuild");
+        prop_assert_eq!(merged.states_rerun, 0, "layout edits never re-run the GSS");
+        server.close_document(id).unwrap();
+    }
+}
+
 /// A grammar `MODIFY` that *changes the language* between edits: the next
 /// edit must see the new language (proof that the fallback re-parses
 /// against the fresh epoch instead of splicing stale state).
