@@ -1,7 +1,7 @@
 //! Document sessions: long-lived per-document parse state with
 //! incremental re-lex and re-parse on edits.
 //!
-//! A [`DocumentSession`] (created by [`IpgServer::open_document`]) keeps
+//! A document session (created by [`IpgServer::open_document`]) keeps
 //! the whole text→forest pipeline warm between edits:
 //!
 //! * the text and its character vector;
@@ -69,14 +69,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use ipg_glr::{
-    ExhaustReason, GssParseResult, GssParser, GssStats, ParseBudget, ParseOutcome, TokenEdit,
-};
+use ipg_glr::{GssParseResult, ParseBudget, ParseOutcome, TokenEdit};
 use ipg_grammar::SymbolId;
 use ipg_lexer::{relex, DfaSnapshot, MatchRec, ScanError, Scanner, MAX_TEXT_BYTES};
 
-use crate::server::{checkin_ctx, checkout_ctx, GrammarEpoch, IpgServer, RequestCtx, ServerError};
-use crate::stats::GenStats;
+use crate::server::{
+    checkin_ctx, checkout_ctx, GrammarEpoch, IpgServer, RequestCtx, ServerError, Work,
+};
 
 /// The state of one open document (see the module docs).
 #[derive(Debug)]
@@ -174,24 +173,28 @@ fn check_document_len(bytes: usize) -> Result<(), ServerError> {
     Ok(())
 }
 
-/// The grammar terminal of a token record, through the epoch's
-/// slot→terminal map.
-fn terminal(
+/// Appends the grammar terminals of token records `recs` to `tokens`,
+/// through the epoch's slot→terminal map. On a record whose token has no
+/// terminal, `tokens` is left as it was.
+fn push_terminals(
+    epoch: &GrammarEpoch,
     scanner: &Scanner,
-    slots: &[Option<SymbolId>],
-    rec: &MatchRec,
-) -> Result<SymbolId, ScanError> {
-    let slot = rec.slot().expect("only token records map to terminals");
-    slots
-        .get(slot)
-        .copied()
-        .flatten()
-        .ok_or_else(|| ScanError::UnknownTerminal {
-            name: scanner
-                .slot(slot)
-                .map(|def| def.name.clone())
-                .unwrap_or_default(),
-        })
+    recs: &[MatchRec],
+    tokens: &mut Vec<SymbolId>,
+) -> Result<(), ScanError> {
+    let old_len = tokens.len();
+    let slots = epoch.terminal_slots();
+    for rec in recs {
+        let slot = rec.slot().expect("only token records map to terminals");
+        let Some(symbol) = slots.get(slot).copied().flatten() else {
+            tokens.truncate(old_len);
+            return Err(ScanError::UnknownTerminal {
+                name: scanner.slot(slot).map(|def| def.name.clone()).unwrap_or_default(),
+            });
+        };
+        tokens.push(symbol);
+    }
+    Ok(())
 }
 
 /// A point-in-time description of an open document, for observability
@@ -234,55 +237,27 @@ impl IpgServer {
     ) -> Result<u64, ServerError> {
         let started = Instant::now();
         check_document_len(text.len())?;
+        let (mut mem, reused) = checkout_ctx();
         let epoch = self.acquire();
-        let Some(scanner) = epoch.scanner() else {
-            self.release(epoch);
-            return Err(ServerError::NoScanner);
-        };
-        let pin = scanner.dfa_snapshot();
-        let grammar_version = epoch.grammar_version();
-        let (mem, reused) = checkout_ctx();
-        let mut doc = DocumentSession {
-            epoch,
-            pin,
-            text: text.to_owned(),
-            mem,
-            synced: false,
-            last: ParseOutcome::Done {
-                accepted: false,
-                stats: GssStats::default(),
-                grammar_version,
-            },
-        };
-        let (_, action_calls, goto_calls) = match self.reload_document(&mut doc, budget) {
-            Ok(reloaded) => reloaded,
+        let mut pin = None;
+        let lexed = lex_document(&epoch, text, &mut mem).map(|lexed| {
+            pin = Some(lexed);
+            Work::Record { rebuild: false }
+        });
+        match self.run_request(&epoch, &mut mem, lexed, budget, started, Some(reused)) {
+            Ok(last) => Ok(self.documents.insert(DocumentSession {
+                epoch,
+                pin: pin.expect("a recorded parse follows a successful lex"),
+                text: text.to_owned(),
+                mem,
+                synced: true,
+                last,
+            })),
             Err(e) => {
-                let DocumentSession { epoch, mem, .. } = doc;
                 self.release(epoch);
-                return Err(match e {
-                    ServerError::Exhausted(reason) => {
-                        self.quarantine_ctx(mem, None);
-                        self.note_doc_exhausted(started, reason)
-                    }
-                    e => {
-                        checkin_ctx(mem);
-                        e
-                    }
-                });
+                Err(self.discard_ctx(mem, e))
             }
-        };
-        let id = self.documents.insert(doc);
-        let mut delta = GenStats {
-            parses: 1,
-            action_calls,
-            goto_calls,
-            ctx_reused: usize::from(reused),
-            ctx_fresh: usize::from(!reused),
-            ..GenStats::default()
-        };
-        delta.latency.record(started.elapsed());
-        self.note(&delta);
-        Ok(id)
+        }
     }
 
     /// Applies one edit — replace bytes `range` of the document with
@@ -336,127 +311,25 @@ impl IpgServer {
         // parsed (grammar MODIFY, scanner edit, GC) forces a full rebuild
         // against a fresh pin — state is never spliced across epochs.
         let stale = doc.epoch.number() != self.epoch_number();
-        if stale || !doc.synced {
+        if stale {
+            let old = std::mem::replace(&mut doc.epoch, self.acquire());
+            self.release(old);
+        }
+        let work = if stale || !doc.synced {
             doc.text.replace_range(range, replacement);
-            if stale {
-                let old = std::mem::replace(&mut doc.epoch, self.acquire());
-                self.release(old);
-            }
-            let (outcome, action_calls, goto_calls) =
-                match self.reload_document(doc, budget) {
-                    Ok(reloaded) => reloaded,
-                    Err(ServerError::Exhausted(reason)) => {
-                        return Err(self.note_doc_exhausted(started, reason));
-                    }
-                    Err(e) => return Err(e),
-                };
-            let mut delta = GenStats {
-                parses: 1,
-                action_calls,
-                goto_calls,
-                reparse_full: 1,
-                ..GenStats::default()
-            };
-            delta.latency.record(started.elapsed());
-            self.note(&delta);
-            return Ok(outcome);
-        }
-
-        // Incremental path. The char-coordinate edit is derived from the
-        // still-synced records before anything is spliced.
-        let RequestCtx {
-            glr,
-            chars,
-            history,
-            recs,
-            tokens,
-        } = &mut *doc.mem;
-        let edit = relex::char_edit(recs, &doc.text, range.start, range.end, replacement);
-        doc.text.replace_range(range, replacement);
-        chars.splice(edit.char_start..edit.char_end, replacement.chars());
-
-        let epoch = doc.epoch.clone();
-        let scanner = epoch
-            .scanner()
-            .expect("synced session implies a scanner-backed epoch");
-        ipg_glr::fault::point("relex");
-        let relexed = scanner.relex_splice(&mut doc.pin, recs, chars, edit);
-        let rel = match relexed {
-            Ok(rel) => rel,
-            Err(e) => return Err(self.desync(doc, started, e)),
+            lex_document(&doc.epoch, &doc.text, &mut doc.mem).map(|pin| {
+                doc.pin = pin;
+                Work::Record { rebuild: true }
+            })
+        } else {
+            relex_edit(doc, range, replacement)
         };
-        debug_assert!(
-            {
-                let mut cold = Vec::new();
-                let cold_scan = scanner.lex_records(&mut doc.pin.clone(), chars, &mut cold);
-                cold_scan.is_ok() && cold == *recs
-            },
-            "the re-lexed records differ from a cold scan of the edited text"
-        );
-
-        // Record `i` is token `i`: map the re-lexed token records to
-        // grammar terminals, staged past the end of the token vector, and
-        // splice them in at the same index.
-        let damage = rel.first_damaged;
-        let removed_end = damage + rel.old_tokens_removed;
-        let old_len = tokens.len();
-        let slots = epoch.terminal_slots();
-        for rec in &recs[damage..damage + rel.new_tokens] {
-            match terminal(scanner, slots, rec) {
-                Ok(symbol) => tokens.push(symbol),
-                Err(e) => {
-                    tokens.truncate(old_len);
-                    return Err(self.desync(doc, started, e));
-                }
-            }
-        }
-        if tokens[damage..removed_end] == tokens[old_len..] {
-            // Token-identical splice (layout-only edit, or a replacement
-            // lexing to the very same terminals): the parse — forest,
-            // history and all — is still exact. Nothing re-runs.
-            tokens.truncate(old_len);
-            let mut delta = GenStats {
-                parses: 1,
-                reparse_incremental: 1,
-                tokens_relexed: rel.relexed,
-                ..GenStats::default()
-            };
-            delta.latency.record(started.elapsed());
-            self.note(&delta);
-            return Ok(doc.last);
-        }
-        let edit = TokenEdit {
-            start: damage,
-            old_len: rel.old_tokens_removed,
-            new_len: rel.new_tokens,
-        };
-        relex::splice_staged(tokens, damage..removed_end, old_len);
-
-        let tables = epoch.session().tables();
-        let parser = GssParser::new(epoch.session().grammar());
-        let resumed = parser.parse_resumed_budgeted(glr, &tables, tokens, history, edit, budget);
-        let outcome = resumed.outcome;
-        let (action_calls, goto_calls) = tables.query_counts();
-        drop(tables);
-        if let Some(reason) = outcome.exhausted() {
-            // The splice already happened, so the GSS/history state is a
-            // half-advanced hybrid: desynchronise and rebuild next edit.
-            doc.synced = false;
-            return Err(self.note_doc_exhausted(started, reason));
-        }
+        // The parse state lags the text until the re-parse lands; a failed
+        // one leaves the session to rebuild from scratch on the next edit.
+        doc.synced = false;
+        let outcome = self.run_request(&doc.epoch, &mut doc.mem, work, budget, started, None)?;
+        doc.synced = true;
         doc.last = outcome;
-        let mut delta = GenStats {
-            parses: 1,
-            action_calls,
-            goto_calls,
-            reparse_incremental: 1,
-            tokens_relexed: rel.relexed,
-            states_rerun: outcome.stats().nodes,
-            reparse_converged: usize::from(resumed.converged_at.is_some()),
-            ..GenStats::default()
-        };
-        delta.latency.record(started.elapsed());
-        self.note(&delta);
         Ok(outcome)
     }
 
@@ -517,7 +390,7 @@ impl IpgServer {
         if synced {
             checkin_ctx(mem);
         } else {
-            self.quarantine_ctx(mem, None);
+            self.quarantine_ctx(mem);
         }
         self.release(epoch);
         Ok(())
@@ -527,82 +400,93 @@ impl IpgServer {
     pub fn open_documents(&self) -> usize {
         self.documents.len()
     }
-
-    /// Full rebuild of a session's parse state from its text against its
-    /// pinned epoch: re-pin the DFA snapshot, lex everything, map tokens,
-    /// parse with checkpoint recording. Returns the outcome plus the
-    /// table query counts. On error the session stays desynchronised.
-    fn reload_document(
-        &self,
-        doc: &mut DocumentSession,
-        budget: ParseBudget,
-    ) -> Result<(ParseOutcome, usize, usize), ServerError> {
-        doc.synced = false;
-        let epoch = doc.epoch.clone();
-        let scanner = epoch.scanner().ok_or(ServerError::NoScanner)?;
-        doc.pin = scanner.dfa_snapshot();
-        let RequestCtx {
-            glr,
-            chars,
-            history,
-            recs,
-            tokens,
-        } = &mut *doc.mem;
-        chars.clear();
-        chars.extend(doc.text.chars());
-        scanner.lex_records(&mut doc.pin, chars, recs)?;
-        tokens.clear();
-        let slots = epoch.terminal_slots();
-        let (_, token_recs) = recs
-            .split_last()
-            .expect("a record list ends in its final record");
-        for rec in token_recs {
-            tokens.push(terminal(scanner, slots, rec)?);
-        }
-        let tables = epoch.session().tables();
-        let parser = GssParser::new(epoch.session().grammar());
-        let outcome = parser.parse_recorded_budgeted(glr, &tables, tokens, history, budget);
-        let (action_calls, goto_calls) = tables.query_counts();
-        drop(tables);
-        if let Some(reason) = outcome.exhausted() {
-            // `synced` stays false: a budget-killed rebuild left a partial
-            // GSS behind, and the next edit retries the full reload.
-            return Err(ServerError::Exhausted(reason));
-        }
-        doc.last = outcome;
-        doc.synced = true;
-        Ok((outcome, action_calls, goto_calls))
-    }
-
-    /// Records a budget-killed document parse — served, counted, and the
-    /// caller is told exactly why — and builds its error.
-    fn note_doc_exhausted(&self, started: Instant, reason: ExhaustReason) -> ServerError {
-        let mut delta = GenStats {
-            parses: 1,
-            ..GenStats::default()
-        };
-        match reason {
-            ExhaustReason::Deadline => delta.parses_cancelled = 1,
-            _ => delta.parses_exhausted = 1,
-        }
-        delta.latency.record(started.elapsed());
-        self.note(&delta);
-        ServerError::Exhausted(reason)
-    }
-
-    /// Marks a session desynchronised after a failed re-lex and records
-    /// the served (but unparsed) edit.
-    fn desync(&self, doc: &mut DocumentSession, started: Instant, e: ScanError) -> ServerError {
-        doc.synced = false;
-        let mut delta = GenStats {
-            parses: 1,
-            ..GenStats::default()
-        };
-        delta.latency.record(started.elapsed());
-        self.note(&delta);
-        ServerError::Scan(e)
-    }
 }
+
+/// Lexes a whole document text into `mem` with `epoch`'s scanner —
+/// characters, token records and terminals — and returns the DFA snapshot
+/// pin the records were built against.
+fn lex_document(
+    epoch: &GrammarEpoch,
+    text: &str,
+    mem: &mut RequestCtx,
+) -> Result<Arc<DfaSnapshot>, ServerError> {
+    let scanner = epoch.scanner().ok_or(ServerError::NoScanner)?;
+    let mut pin = scanner.dfa_snapshot();
+    let RequestCtx {
+        chars, recs, tokens, ..
+    } = mem;
+    chars.clear();
+    chars.extend(text.chars());
+    scanner.lex_records(&mut pin, chars, recs)?;
+    tokens.clear();
+    let (_, token_recs) = recs
+        .split_last()
+        .expect("a record list ends in its final record");
+    push_terminals(epoch, scanner, token_recs, tokens)?;
+    Ok(pin)
+}
+
+/// Applies an edit to a synced session's text, characters, records and
+/// terminals, re-lexing only the damaged records, and returns what the GSS
+/// must re-run. On a scan error the text edit stands and the rest of the
+/// state is partial.
+fn relex_edit(
+    doc: &mut DocumentSession,
+    range: Range<usize>,
+    replacement: &str,
+) -> Result<Work<'static>, ServerError> {
+    // The char-coordinate edit is derived from the still-synced records
+    // before anything is spliced.
+    let RequestCtx {
+        chars, recs, tokens, ..
+    } = &mut *doc.mem;
+    let edit = relex::char_edit(recs, &doc.text, range.start, range.end, replacement);
+    doc.text.replace_range(range, replacement);
+    chars.splice(edit.char_start..edit.char_end, replacement.chars());
+
+    let scanner = doc
+        .epoch
+        .scanner()
+        .expect("synced session implies a scanner-backed epoch");
+    ipg_glr::fault::point("relex");
+    let rel = scanner.relex_splice(&mut doc.pin, recs, chars, edit)?;
+    debug_assert!(
+        {
+            let mut cold = Vec::new();
+            let cold_scan = scanner.lex_records(&mut doc.pin.clone(), chars, &mut cold);
+            cold_scan.is_ok() && cold == *recs
+        },
+        "the re-lexed records differ from a cold scan of the edited text"
+    );
+
+    // Record `i` is token `i`: map the re-lexed token records to grammar
+    // terminals, staged past the end of the token vector, and splice them
+    // in at the same index.
+    let damage = rel.first_damaged;
+    let removed_end = damage + rel.old_tokens_removed;
+    let old_len = tokens.len();
+    push_terminals(&doc.epoch, scanner, &recs[damage..damage + rel.new_tokens], tokens)?;
+    // A token-identical splice (layout-only edit, or a replacement lexing
+    // to the very same terminals) keeps the parse — forest, history and
+    // all — exact: nothing re-runs.
+    let edit = if tokens[damage..removed_end] == tokens[old_len..] {
+        tokens.truncate(old_len);
+        None
+    } else {
+        relex::splice_staged(tokens, damage..removed_end, old_len);
+        Some(TokenEdit {
+            start: damage,
+            old_len: rel.old_tokens_removed,
+            new_len: rel.new_tokens,
+        })
+    };
+    Ok(Work::Edit {
+        edit,
+        last: doc.last,
+        relexed: rel.relexed,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -845,6 +729,25 @@ mod tests {
         .unwrap();
         assert_eq!(server.open_document("true"), Err(ServerError::NoScanner));
         assert_eq!(server.open_documents(), 0);
+    }
+
+    /// Every request that pins an epoch counts once, also when it fails
+    /// after the pin: a failed open counts like a failed text parse.
+    #[test]
+    fn failed_opens_are_counted_like_failed_parses() {
+        let parses = |server: &IpgServer| server.stats().merged().parses;
+        let server = boolean_server();
+        let before = parses(&server);
+        assert!(matches!(server.open_document("true % false"), Err(ServerError::Scan(_))));
+        assert_eq!(parses(&server) - before, 1, "a failed open");
+        let before = parses(&server);
+        assert!(matches!(server.parse_text("true % false"), Err(ServerError::Scan(_))));
+        assert_eq!(parses(&server) - before, 1, "a failed text parse");
+        assert_eq!(server.open_documents(), 0);
+
+        let scannerless = IpgServer::from_bnf("B ::= \"true\"\nSTART ::= B").unwrap();
+        assert_eq!(scannerless.open_document("true"), Err(ServerError::NoScanner));
+        assert_eq!(parses(&scannerless), 1, "an open without a scanner");
     }
 
     #[test]

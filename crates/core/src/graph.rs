@@ -25,7 +25,7 @@
 //! `id % 64` of chunk `id / 64`, and each chunk is an immutable-once-shared
 //! `Arc<NodeChunk>`. The steady-state read path (the lazy tables) never
 //! touches the store at all — it reads the epoch-published
-//! [`TableSnapshot`] — while the accessor methods (`try_node`, `size`, …)
+//! `TableSnapshot` — while the accessor methods (`try_node`, `size`, …)
 //! take one store-wide `RwLock` read.
 //!
 //! All structural mutation (EXPAND / RE-EXPAND / row publication / MODIFY /

@@ -104,7 +104,9 @@ pub use graph::{
     ItemSetNode, CHUNK_SIZE,
 };
 pub use registry::{GrammarRegistry, RegistryError};
-pub use server::{GrammarEpoch, IpgServer, PooledParse, RequestCtx, ServerError, ServerStats};
+pub use server::{
+    GrammarEpoch, IpgServer, PooledParse, Request, RequestCtx, ServerError, ServerStats,
+};
 pub use session::{IpgSession, SessionError};
 pub use stats::{GenStats, GraphSize, LatencyHistogram, HISTOGRAM_BUCKETS};
 pub use tables::{LazyTables, StaleGraphError};

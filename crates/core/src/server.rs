@@ -74,8 +74,16 @@
 //! checkpoint history in it while the document is open, and checks it
 //! back in at close, so document memory is recycled the same way.
 //!
-//! On a warm server a request through the pooled entry points
-//! ([`IpgServer::parse_text_pooled`], [`IpgServer::parse_pooled`],
+//! Every request takes **one path**: a stateless [`Request`] goes through
+//! [`IpgServer::serve`] (checkout, pin, run), and document opens and edits
+//! run the same path on the session's own epoch and memory. It runs the
+//! GSS, notes the request exactly once — also when it fails before
+//! parsing — and maps a budget kill to `parses_cancelled` or
+//! `parses_exhausted`. The named parse methods are one-line adapters over
+//! `serve`; the owned ones copy the forest out of its [`PooledParse`].
+//!
+//! On a warm server a pooled request ([`IpgServer::serve`],
+//! [`IpgServer::parse_text_pooled`], [`IpgServer::parse_pooled`],
 //! [`IpgServer::recognize`]) performs **zero heap allocations** end to
 //! end — enforced by a counting-allocator gate in the serving bench and
 //! the `alloc_free` regression suite. The owned conveniences
@@ -120,16 +128,17 @@
 //!
 //! ## Per-request budgets and context quarantine
 //!
-//! Every parse entry point has a budgeted form
-//! ([`IpgServer::parse_text_budgeted`], [`IpgServer::parse_sentence_budgeted`],
-//! the document paths) threading an [`ipg_glr::ParseBudget`] — deadline
-//! instant, step fuel, byte caps on the GSS pools and forest arena — into
-//! the GSS driver, which checks it every few dozen work units (amortized:
-//! an unlimited budget costs one counter bump per unit, so the zero-alloc
-//! warm path is untouched). The unbudgeted names delegate with the
+//! Every request carries an [`ipg_glr::ParseBudget`] — deadline instant,
+//! step fuel, byte caps on the GSS pools and forest arena — into the GSS
+//! driver, which checks it every few dozen work units (amortized: an
+//! unlimited budget costs one counter bump per unit, so the zero-alloc
+//! warm path is untouched). [`IpgServer::serve`] and the `_budgeted`
+//! names take it explicitly; the other text and document methods use the
 //! server's **default budget** ([`IpgServer::set_default_budget`] — per
-//! tenant when servers live in a registry), and the frontend tightens the
-//! wire deadline into the effective budget, which is what makes
+//! tenant when servers live in a registry); the token and sentence
+//! conveniences (`parse`, `parse_versioned`, `parse_pooled`, `recognize`,
+//! `parse_sentence`, `parse_many`) run unlimited. The frontend tightens
+//! the wire deadline into the effective budget, which is what makes
 //! `DEADLINE_EXCEEDED` fire *mid-parse* instead of only at admission.
 //!
 //! **Quarantine lifecycle:** a budget-killed parse returns
@@ -247,11 +256,11 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ipg_glr::{
-    ExhaustReason, Forest, GssParseResult, GssParser, GssStats, ParseBudget, ParseCtx,
-    ParseHistory, ParseOutcome, TokenSource,
+    ExhaustReason, Forest, GssParseResult, GssParser, GssRun, GssStats, ParseBudget, ParseCtx,
+    ParseHistory, ParseOutcome, SliceTokens, TokenEdit, TokenSource,
 };
 use ipg_grammar::{RuleId, SymbolId};
 use ipg_lexer::{MatchRec, ScanError, Scanner, TokenStream};
@@ -451,9 +460,9 @@ impl TokenSource for EpochTokenSource<'_> {
 
 /// A reusable per-worker request context: everything one request needs as
 /// scratch — the GSS driver's [`ParseCtx`] (node/edge pools, frontiers,
-/// forest arena, token buffer) plus the scanner's character buffer — and
-/// the rest of a document session's memory: its checkpoint history, match
-/// records and token vector.
+/// forest arena), the scanner's character buffer and a token buffer — and
+/// the rest of a document session's memory: its checkpoint history and
+/// match records.
 ///
 /// Contexts are recycled through a per-thread pool slot (see the module
 /// docs): a warm request checks one out, parses, and returns it, touching
@@ -469,7 +478,8 @@ pub struct RequestCtx {
     pub(crate) history: ParseHistory,
     /// A document's token-anchored match records.
     pub(crate) recs: Vec<MatchRec>,
-    /// A document's terminal sequence, one per token record.
+    /// A sentence request's tokens, or a document's terminal sequence,
+    /// one per token record.
     pub(crate) tokens: Vec<SymbolId>,
 }
 
@@ -555,6 +565,39 @@ impl Drop for PooledParse {
             checkin_ctx(ctx);
         }
     }
+}
+
+/// A stateless request, served by [`IpgServer::serve`].
+#[derive(Clone, Copy, Debug)]
+pub enum Request<'a> {
+    /// Text, scanned by the pinned epoch's scanner as the parse pulls
+    /// terminals.
+    Text(&'a str),
+    /// A whitespace-separated sentence of terminal names, tokenized
+    /// against the pinned epoch's grammar.
+    Sentence(&'a str),
+    /// A token sentence.
+    Tokens(&'a [SymbolId]),
+    /// A token sentence, recognised without building a forest.
+    Recognize(&'a [SymbolId]),
+}
+
+/// What one request runs on the GSS ([`IpgServer::run_request`]): a
+/// stateless request, or a document's parse of the tokens in its context.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Work<'a> {
+    Request(Request<'a>),
+    /// A recorded parse: a document open, or a full rebuild (`rebuild`,
+    /// counted in `reparse_full`).
+    Record { rebuild: bool },
+    /// An incremental document edit that re-lexed `relexed` records: a
+    /// resumed parse after `edit`, or — when the edit left every terminal
+    /// as it was — none, and the `last` outcome stands.
+    Edit {
+        edit: Option<TokenEdit>,
+        last: ParseOutcome,
+        relexed: usize,
+    },
 }
 
 /// Per-thread query statistics of one server, plus the graph-wide
@@ -648,8 +691,8 @@ pub struct IpgServer {
     /// Open document sessions (see [`crate::document`]): incremental
     /// re-parse state keyed by document id.
     pub(crate) documents: crate::document::DocRegistry,
-    /// The default per-request [`ParseBudget`] the unbudgeted parse paths
-    /// apply (unlimited unless configured). Read per request, written
+    /// The default per-request [`ParseBudget`] of the text and document
+    /// paths (unlimited unless configured). Read per request, written
     /// rarely (tenant attach / admin), hence the `RwLock`.
     budget: RwLock<ParseBudget>,
 }
@@ -726,9 +769,10 @@ impl IpgServer {
         self
     }
 
-    /// The default per-request [`ParseBudget`] applied by the unbudgeted
-    /// parse paths ([`IpgServer::parse_text`], [`IpgServer::parse_text_pooled`],
-    /// document opens/edits). Unlimited unless configured.
+    /// The default per-request [`ParseBudget`] of the text and document
+    /// paths without an explicit budget ([`IpgServer::parse_text`],
+    /// [`IpgServer::parse_text_pooled`], document opens/edits). Unlimited
+    /// unless configured.
     pub fn default_budget(&self) -> ParseBudget {
         *self.budget.read().unwrap()
     }
@@ -859,152 +903,163 @@ impl IpgServer {
         self.read(|s| s.tokens(sentence))
     }
 
-    /// The one serve path every parse method goes through: check a context
-    /// out of the per-thread pool, pin the current epoch, hand epoch +
-    /// lazy-tables handle + context to `f`, record the handle's query
-    /// counts against the calling thread, release the pin and return the
-    /// context. A request that fails before parsing (unknown token, scan
-    /// error) still counts as a served request with zero queries.
-    fn serve<R>(&self, f: impl FnOnce(&GrammarEpoch, &LazyTables<'_>, &mut RequestCtx) -> R) -> R {
-        let started = Instant::now();
-        let (mut ctx, reused) = checkout_ctx();
-        let epoch = self.acquire();
-        ipg_glr::fault::point("post-pin");
-        let tables: LazyTables<'_> = epoch.session.tables();
-        let result = f(&epoch, &tables, &mut ctx);
-        let (action_calls, goto_calls) = tables.query_counts();
-        drop(tables);
-        self.release(epoch);
-        checkin_ctx(ctx);
-        self.note_parse(action_calls, goto_calls, reused, started.elapsed());
-        result
-    }
-
-    /// The serve path of the pooled (borrowed-result) parse methods: like
-    /// [`IpgServer::serve`], but on success the checked-out context rides
-    /// inside the returned [`PooledParse`] and only goes back to the pool
-    /// when the caller drops the result.
-    fn serve_pooled<E>(
+    /// Serves one stateless request under `budget` on the one request
+    /// path: checks a context out of the per-thread pool, pins the current
+    /// epoch and runs the request there. The GSS checks the budget every
+    /// few dozen work units and a text request's scanner re-checks the
+    /// deadline, so a pathological request is cut off *mid-parse*. The
+    /// result borrows the context, which returns to the pool when the
+    /// result is dropped; a failed request returns it at once, and a
+    /// budget-killed one ([`ServerError::Exhausted`]) quarantines it.
+    pub fn serve(
         &self,
-        f: impl FnOnce(&GrammarEpoch, &LazyTables<'_>, &mut RequestCtx) -> Result<ParseOutcome, E>,
-    ) -> Result<PooledParse, E> {
-        let started = Instant::now();
-        let (mut ctx, reused) = checkout_ctx();
-        let epoch = self.acquire();
-        ipg_glr::fault::point("post-pin");
-        let tables: LazyTables<'_> = epoch.session.tables();
-        let outcome = f(&epoch, &tables, &mut ctx);
-        let (action_calls, goto_calls) = tables.query_counts();
-        drop(tables);
-        self.release(epoch);
-        self.note_parse(action_calls, goto_calls, reused, started.elapsed());
-        match outcome {
-            Ok(outcome) => Ok(PooledParse {
-                ctx: Some(ctx),
-                outcome,
-            }),
-            Err(e) => {
-                checkin_ctx(ctx);
-                Err(e)
-            }
-        }
-    }
-
-    /// The budgeted serve path: like [`IpgServer::serve_pooled`] but
-    /// specialised to [`ServerError`] so it can implement the quarantine
-    /// lifecycle — a parse that exhausts its [`ParseBudget`] (either the
-    /// GSS driver reporting [`ParseOutcome::Exhausted`] or the fused token
-    /// source erroring with [`ServerError::Exhausted`]) has its context
-    /// **dropped instead of recycled** (the pools may have ballooned to
-    /// the byte cap) and is surfaced as `Err(ServerError::Exhausted)`.
-    fn serve_pooled_budgeted(
-        &self,
+        request: Request<'_>,
         budget: ParseBudget,
-        f: impl FnOnce(
-            &GrammarEpoch,
-            &LazyTables<'_>,
-            &mut RequestCtx,
-            ParseBudget,
-        ) -> Result<ParseOutcome, ServerError>,
     ) -> Result<PooledParse, ServerError> {
         let started = Instant::now();
         let (mut ctx, reused) = checkout_ctx();
         let epoch = self.acquire();
         ipg_glr::fault::point("post-pin");
-        let tables: LazyTables<'_> = epoch.session.tables();
-        let outcome = f(&epoch, &tables, &mut ctx, budget);
-        let (action_calls, goto_calls) = tables.query_counts();
-        drop(tables);
+        let work = Ok(Work::Request(request));
+        let outcome = self.run_request(&epoch, &mut ctx, work, budget, started, Some(reused));
         self.release(epoch);
-        self.note_parse(action_calls, goto_calls, reused, started.elapsed());
         match outcome {
-            Ok(outcome) => match outcome.exhausted() {
-                None => Ok(PooledParse {
-                    ctx: Some(ctx),
-                    outcome,
-                }),
-                Some(reason) => {
-                    self.quarantine_ctx(ctx, Some(reason));
-                    Err(ServerError::Exhausted(reason))
+            Ok(outcome) => Ok(PooledParse { ctx: Some(ctx), outcome }),
+            Err(e) => Err(self.discard_ctx(ctx, e)),
+        }
+    }
+
+    /// The one request path: runs `work` on the pinned `epoch` in `ctx`
+    /// under `budget`, and notes the request exactly once, whatever its
+    /// result: its table query counts, its latency since `started`, and —
+    /// when `checkout` says it checked `ctx` out of the pool — whether the
+    /// context was recycled. `work` is an error when the request failed
+    /// before reaching the parser (an unknown token, a scan error); that
+    /// request still counts.
+    ///
+    /// A run cut off by its budget returns [`ServerError::Exhausted`],
+    /// counted in `parses_cancelled` for the deadline and in
+    /// `parses_exhausted` for a resource cap. The context then holds a
+    /// partial parse; the caller quarantines or desynchronises it.
+    pub(crate) fn run_request(
+        &self,
+        epoch: &GrammarEpoch,
+        ctx: &mut RequestCtx,
+        work: Result<Work<'_>, ServerError>,
+        budget: ParseBudget,
+        started: Instant,
+        checkout: Option<bool>,
+    ) -> Result<ParseOutcome, ServerError> {
+        let tables = epoch.session.tables();
+        let mut delta = GenStats::default();
+        let result = work.and_then(|work| {
+            let outcome = Self::run_gss(epoch, &tables, ctx, work, budget)?;
+            if let Some(reason) = outcome.exhausted() {
+                return Err(ServerError::Exhausted(reason));
+            }
+            match work {
+                Work::Request(_) => {}
+                Work::Record { rebuild } => delta.reparse_full = usize::from(rebuild),
+                Work::Edit { edit, relexed, .. } => {
+                    delta.reparse_incremental = 1;
+                    delta.tokens_relexed = relexed;
+                    if edit.is_some() {
+                        delta.states_rerun = outcome.stats().nodes;
+                        delta.reparse_converged = usize::from(ctx.glr.converged_at().is_some());
+                    }
                 }
-            },
-            Err(ServerError::Exhausted(reason)) => {
-                self.quarantine_ctx(ctx, Some(reason));
-                Err(ServerError::Exhausted(reason))
             }
-            Err(e) => {
-                checkin_ctx(ctx);
-                Err(e)
-            }
+            Ok(outcome)
+        });
+        (delta.action_calls, delta.goto_calls) = tables.query_counts();
+        delta.parses = 1;
+        if let Some(reused) = checkout {
+            delta.ctx_reused = usize::from(reused);
+            delta.ctx_fresh = usize::from(!reused);
         }
-    }
-
-    /// Quarantines a request context: drops it (the next checkout builds
-    /// fresh) and counts `ctx_quarantined`. After a budget kill it also
-    /// records the exhaustion counter — `parses_cancelled` for a deadline
-    /// cut, `parses_exhausted` for a resource cap.
-    pub(crate) fn quarantine_ctx(&self, ctx: Box<RequestCtx>, reason: Option<ExhaustReason>) {
-        drop(ctx);
-        let mut delta = GenStats {
-            ctx_quarantined: 1,
-            ..GenStats::default()
-        };
-        match reason {
-            Some(ExhaustReason::Deadline) => delta.parses_cancelled = 1,
-            Some(_) => delta.parses_exhausted = 1,
-            None => {}
+        match result {
+            Err(ServerError::Exhausted(ExhaustReason::Deadline)) => delta.parses_cancelled = 1,
+            Err(ServerError::Exhausted(_)) => delta.parses_exhausted = 1,
+            _ => {}
         }
+        delta.latency.record(started.elapsed());
         self.note(&delta);
+        result
     }
 
-    /// The fused text pipeline body shared by [`IpgServer::parse_text`]
-    /// and [`IpgServer::parse_text_pooled`]: stream scanner matches from
-    /// the epoch's pinned DFA snapshot straight into the GSS driver, with
-    /// slots resolved to terminals through the epoch's precomputed map.
-    fn parse_text_fused(
+    /// The GSS run of one piece of work. Text is **fused**: scanner
+    /// matches stream from the epoch's pinned DFA snapshot straight into
+    /// the driver, with slots resolved to terminals through the epoch's
+    /// precomputed map. A sentence is tokenized into the context's token
+    /// buffer; a document's recorded and resumed parses read the tokens
+    /// already there.
+    fn run_gss(
         epoch: &GrammarEpoch,
         tables: &LazyTables<'_>,
         ctx: &mut RequestCtx,
-        input: &str,
+        work: Work<'_>,
         budget: ParseBudget,
     ) -> Result<ParseOutcome, ServerError> {
-        let scanner = epoch.scanner().ok_or(ServerError::NoScanner)?;
-        let RequestCtx { glr, chars, .. } = ctx;
-        let source = EpochTokenSource {
-            stream: scanner.stream(input, chars),
-            slots: epoch.terminal_slots(),
-            scanner,
-            deadline: budget.deadline,
-            ticks: 0,
+        let parser = GssParser::new(epoch.session.grammar());
+        let RequestCtx {
+            glr,
+            chars,
+            history,
+            tokens,
+            ..
+        } = ctx;
+        let run = match work {
+            Work::Request(Request::Text(input)) => {
+                let scanner = epoch.scanner().ok_or(ServerError::NoScanner)?;
+                let source = EpochTokenSource {
+                    stream: scanner.stream(input, chars),
+                    slots: epoch.terminal_slots(),
+                    scanner,
+                    deadline: budget.deadline,
+                    ticks: 0,
+                };
+                return parser.run(glr, tables, GssRun::parse(source).budget(budget));
+            }
+            Work::Request(Request::Sentence(sentence)) => {
+                epoch.session.tokens_into(sentence, tokens)?;
+                GssRun::parse(SliceTokens::new(tokens))
+            }
+            Work::Request(Request::Tokens(tokens)) => GssRun::parse(SliceTokens::new(tokens)),
+            Work::Request(Request::Recognize(tokens)) => GssRun::recognize(SliceTokens::new(tokens)),
+            Work::Record { .. } => GssRun::record(tokens, history),
+            Work::Edit { edit: Some(edit), .. } => GssRun::resume(tokens, history, edit),
+            Work::Edit { edit: None, last, .. } => return Ok(last),
         };
-        GssParser::new(epoch.session.grammar()).parse_stream_budgeted(glr, tables, source, budget)
+        let Ok(outcome) = parser.run(glr, tables, run.budget(budget));
+        Ok(outcome)
     }
 
-    /// Parses a token sentence against the shared graph. Concurrent with
-    /// other parses *and* with modifications (which publish new epochs;
-    /// this parse completes on the epoch it pinned).
+    /// Returns the context of a request that failed with `error`: a
+    /// budget-killed one is quarantined (its pools just proved they can
+    /// balloon to the cap); any other goes back to the pool.
+    pub(crate) fn discard_ctx(&self, ctx: Box<RequestCtx>, error: ServerError) -> ServerError {
+        match error {
+            ServerError::Exhausted(_) => self.quarantine_ctx(ctx),
+            _ => checkin_ctx(ctx),
+        }
+        error
+    }
+
+    /// Quarantines a request context: drops it (the next checkout builds
+    /// fresh) and counts `ctx_quarantined`.
+    pub(crate) fn quarantine_ctx(&self, ctx: Box<RequestCtx>) {
+        drop(ctx);
+        self.note(&GenStats {
+            ctx_quarantined: 1,
+            ..GenStats::default()
+        });
+    }
+
+    /// Parses a token sentence against the shared graph, unbudgeted.
+    /// Concurrent with other parses *and* with modifications (which publish
+    /// new epochs; this parse completes on the epoch it pinned).
     pub fn parse(&self, tokens: &[SymbolId]) -> GssParseResult {
-        self.parse_versioned(tokens).1
+        self.parse_pooled(tokens).into_result()
     }
 
     /// Like [`IpgServer::parse`], also returning the grammar version the
@@ -1012,15 +1067,8 @@ impl IpgServer {
     /// result's own `grammar_version` field repeats, so the pair stays
     /// consistent however many epochs writers publish meanwhile.
     pub fn parse_versioned(&self, tokens: &[SymbolId]) -> (u64, GssParseResult) {
-        self.serve(|epoch, tables, ctx| {
-            let outcome =
-                GssParser::new(epoch.session.grammar()).parse_into(&mut ctx.glr, tables, tokens);
-            debug_assert_eq!(outcome.grammar_version(), epoch.grammar_version());
-            (
-                outcome.grammar_version(),
-                outcome.into_result(ctx.glr.forest().clone()),
-            )
-        })
+        let result = self.parse(tokens);
+        (result.grammar_version, result)
     }
 
     /// Like [`IpgServer::parse`], but the result *borrows* the pooled
@@ -1028,28 +1076,15 @@ impl IpgServer {
     /// is copied or allocated on the warm path. Drop the result to return
     /// the context to the pool.
     pub fn parse_pooled(&self, tokens: &[SymbolId]) -> PooledParse {
-        let served: Result<PooledParse, std::convert::Infallible> =
-            self.serve_pooled(|epoch, tables, ctx| {
-                Ok(GssParser::new(epoch.session.grammar()).parse_into(
-                    &mut ctx.glr,
-                    tables,
-                    tokens,
-                ))
-            });
-        match served {
-            Ok(parsed) => parsed,
-            Err(infallible) => match infallible {},
-        }
+        self.serve(Request::Tokens(tokens), ParseBudget::UNLIMITED)
+            .expect("an unlimited token parse cannot fail")
     }
 
-    /// Recognises a token sentence (no forest construction; zero
-    /// allocations on the warm path).
+    /// Recognises a token sentence, unbudgeted (no forest construction;
+    /// zero allocations on the warm path).
     pub fn recognize(&self, tokens: &[SymbolId]) -> bool {
-        self.serve(|epoch, tables, ctx| {
-            GssParser::new(epoch.session.grammar())
-                .recognize_into(&mut ctx.glr, tables, tokens)
-                .accepted()
-        })
+        self.serve(Request::Recognize(tokens), ParseBudget::UNLIMITED)
+            .is_ok_and(|parsed| parsed.accepted())
     }
 
     /// Convenience: [`IpgServer::parse`] on a whitespace-separated sentence
@@ -1057,11 +1092,11 @@ impl IpgServer {
     /// buffer — and parsed against one pinned epoch, so the sentence is
     /// interpreted by the same grammar version it is parsed with).
     pub fn parse_sentence(&self, sentence: &str) -> Result<GssParseResult, SessionError> {
-        self.serve(|epoch, tables, ctx| {
-            epoch.session.tokens_into(sentence, &mut ctx.glr.tokens)?;
-            let outcome = GssParser::new(epoch.session.grammar()).parse_buffered(&mut ctx.glr, tables);
-            Ok(outcome.into_result(ctx.glr.forest().clone()))
-        })
+        match self.parse_sentence_budgeted(sentence, ParseBudget::UNLIMITED) {
+            Ok(result) => Ok(result),
+            Err(ServerError::Session(e)) => Err(e),
+            Err(e) => unreachable!("an unlimited sentence parse fails only to tokenize: {e}"),
+        }
     }
 
     /// [`IpgServer::parse_sentence`] under an explicit [`ParseBudget`]. An
@@ -1072,18 +1107,8 @@ impl IpgServer {
         sentence: &str,
         budget: ParseBudget,
     ) -> Result<GssParseResult, ServerError> {
-        let pooled = self.serve_pooled_budgeted(budget, |epoch, tables, ctx, budget| {
-            epoch
-                .session
-                .tokens_into(sentence, &mut ctx.glr.tokens)
-                .map_err(ServerError::from)?;
-            Ok(GssParser::new(epoch.session.grammar()).parse_buffered_budgeted(
-                &mut ctx.glr,
-                tables,
-                budget,
-            ))
-        })?;
-        Ok(pooled.into_result())
+        self.serve(Request::Sentence(sentence), budget)
+            .map(PooledParse::into_result)
     }
 
     /// Lexes `input` with the pinned epoch's scanner and parses the token
@@ -1100,9 +1125,7 @@ impl IpgServer {
     /// (the parse returns a plain rejection). See
     /// [`IpgServer::parse_text_pooled`] for the zero-copy form.
     pub fn parse_text(&self, input: &str) -> Result<GssParseResult, ServerError> {
-        Ok(self
-            .parse_text_budgeted(input, self.default_budget())?
-            .into_result())
+        self.parse_text_pooled(input).map(PooledParse::into_result)
     }
 
     /// Like [`IpgServer::parse_text`], but the result borrows the pooled
@@ -1112,25 +1135,10 @@ impl IpgServer {
     /// recycled memory. Drop the result to return the context.
     ///
     /// Runs under the server's default budget
-    /// ([`IpgServer::default_budget`]); see
-    /// [`IpgServer::parse_text_budgeted`] for an explicit one.
+    /// ([`IpgServer::default_budget`]); [`IpgServer::serve`] takes an
+    /// explicit one.
     pub fn parse_text_pooled(&self, input: &str) -> Result<PooledParse, ServerError> {
-        self.parse_text_budgeted(input, self.default_budget())
-    }
-
-    /// [`IpgServer::parse_text_pooled`] under an explicit [`ParseBudget`]:
-    /// the GSS driver checks the budget every few dozen work units and the
-    /// fused token source re-checks the deadline while scanning, so a
-    /// pathological request is cut off *mid-parse*. An exhausted parse
-    /// returns [`ServerError::Exhausted`] and quarantines its context.
-    pub fn parse_text_budgeted(
-        &self,
-        input: &str,
-        budget: ParseBudget,
-    ) -> Result<PooledParse, ServerError> {
-        self.serve_pooled_budgeted(budget, |epoch, tables, ctx, budget| {
-            Self::parse_text_fused(epoch, tables, ctx, input, budget)
-        })
+        self.serve(Request::Text(input), self.default_budget())
     }
 
     // ------------------------------------------------------------------
@@ -1398,22 +1406,6 @@ impl IpgServer {
             per_thread: entries,
             retired_epochs,
         }
-    }
-
-    fn note_parse(&self, action_calls: usize, goto_calls: usize, ctx_reused: bool, latency: Duration) {
-        let mut delta = GenStats {
-            parses: 1,
-            action_calls,
-            goto_calls,
-            ..GenStats::default()
-        };
-        if ctx_reused {
-            delta.ctx_reused = 1;
-        } else {
-            delta.ctx_fresh = 1;
-        }
-        delta.latency.record(latency);
-        self.note(&delta);
     }
 
     fn note_epochs(&self, retired: usize, reclaimed: usize) {

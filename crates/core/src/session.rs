@@ -329,7 +329,9 @@ impl IpgSession {
         ctx: &mut ipg_glr::ParseCtx,
         tokens: &[SymbolId],
     ) -> ipg_glr::ParseOutcome {
-        GssParser::new(&self.grammar).recognize_into(ctx, &self.tables(), tokens)
+        let run = ipg_glr::GssRun::recognize(ipg_glr::SliceTokens::new(tokens));
+        let Ok(outcome) = GssParser::new(&self.grammar).run(ctx, &self.tables(), run);
+        outcome
     }
 
     /// Convenience: [`IpgSession::parse`] on a whitespace-separated

@@ -2,9 +2,10 @@
 //! [`IpgServer`].
 //!
 //! Each worker thread maps 1:1 onto the serving layer's per-thread
-//! request-context pool slot (PR 5): popping a job and calling a pooled
-//! parse entry point *is* a context checkout, so the warm wire path runs
-//! scan → parse → forest in recycled memory. Grammar edits (`ADD-RULE` /
+//! request-context pool slot: `PARSE-TEXT` and `PARSE-TOKENS` go through
+//! [`IpgServer::serve`], whose checkout is that slot, and the reply reads
+//! the pooled result in place, so the warm wire path runs scan → parse →
+//! forest in recycled memory. Grammar edits (`ADD-RULE` /
 //! `DELETE-RULE`) go through the server's non-draining epoch publication
 //! like any library caller — they serialize among themselves on the
 //! server's writer lock but never against in-flight parses.
@@ -40,7 +41,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ipg::{
-    ExhaustReason, GenStats, GrammarRegistry, IpgServer, LatencyHistogram, ServerError,
+    ExhaustReason, GenStats, GrammarRegistry, IpgServer, LatencyHistogram, Request, ServerError,
     SessionError,
 };
 
@@ -421,14 +422,16 @@ fn route(shared: &Shared, server: &IpgServer, job: &Job) -> (Status, Vec<u8>) {
         Err(e) => (Status::Error, e.to_string().into_bytes()),
     };
     match (job.verb, delta) {
-        (Verb::ParseText, _) => match server.parse_text_budgeted(text, budget) {
-            Ok(result) => parsed(result.accepted(), result.grammar_version()),
-            Err(e) => error_reply(e),
-        },
-        (Verb::ParseTokens, _) => match server.parse_sentence_budgeted(text, budget) {
-            Ok(result) => parsed(result.accepted, result.grammar_version),
-            Err(e) => error_reply(e),
-        },
+        (Verb::ParseText | Verb::ParseTokens, _) => {
+            let request = match job.verb {
+                Verb::ParseText => Request::Text(text),
+                _ => Request::Sentence(text),
+            };
+            match server.serve(request, budget) {
+                Ok(result) => parsed(result.accepted(), result.grammar_version()),
+                Err(e) => error_reply(e),
+            }
+        }
         (Verb::AddRule, _) => rule_edited(server.add_rule_text(text)),
         (Verb::DeleteRule, _) => rule_edited(server.remove_rule_text(text)),
         (Verb::OpenDoc, _) => match server.open_document_budgeted(text, budget) {

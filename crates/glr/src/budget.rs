@@ -12,7 +12,7 @@
 //!
 //! Exhaustion is cooperative, not preemptive: the parse observes the budget
 //! at the next stride boundary and returns
-//! [`ParseOutcome::Exhausted`](crate::ParseOutcome) with the first
+//! an exhausted [`ParseOutcome`](crate::ParseOutcome) with the first
 //! [`ExhaustReason`] that tripped. Callers decide what to do with the
 //! partially grown context — the server quarantines it instead of recycling
 //! it, since a byte-cap kill means the pools ballooned to the cap.

@@ -17,20 +17,30 @@
 //! a recycled context performs **zero heap allocations** once the pools
 //! have grown to the workload's size. The one-shot [`GssParser::parse`] /
 //! [`GssParser::recognize`] conveniences allocate a fresh context per call;
-//! serving layers hold onto contexts and use [`GssParser::parse_into`] and
-//! friends.
+//! serving layers hold onto contexts and use [`GssParser::run`].
+//!
+//! ## One entry point
+//!
+//! [`GssParser::run`] takes a [`GssRun`] descriptor: the terminals to read,
+//! whether to build a forest, an optional [`ParseHistory`] to record into
+//! or resume from, and a [`ParseBudget`] that every run has
+//! ([`ParseBudget::UNLIMITED`] unless set). Its constructors admit only
+//! the runs that exist: [`GssRun::parse`] and [`GssRun::recognize`] of any
+//! [`TokenSource`], and [`GssRun::record`] and [`GssRun::resume`] of an
+//! in-memory token sequence, both with a forest. [`GssParser::parse_into`]
+//! is the unbudgeted slice parse the tests and benches use as an oracle.
 //!
 //! ## Streaming input
 //!
 //! The driver pulls terminals from a [`TokenSource`] instead of indexing a
-//! slice: an in-memory sentence and a scanner lexing raw text drive the
-//! same loop ([`GssParser::parse_stream`]), which is how the serving
-//! layer fuses tokenization into the parse without materialising a token
-//! vector per request.
+//! slice: an in-memory sentence ([`SliceTokens`]) and a scanner lexing raw
+//! text drive the same loop, which is how the serving layer fuses
+//! tokenization into the parse without materialising a token vector per
+//! request.
 //!
 //! ## Incremental re-parse
 //!
-//! [`GssParser::parse_recorded`] additionally records a [`ParseHistory`]:
+//! [`GssRun::record`] additionally records a [`ParseHistory`]:
 //! one checkpoint per token position, taken at the top of the driver
 //! loop, holding the pool watermarks (GSS nodes/edges, forest
 //! nodes/derivations/children) plus a snapshot of the current frontier
@@ -40,8 +50,8 @@
 //! each position's edge keys and spans as it moves on. A rollback
 //! therefore has nothing to un-see — it only moves watermarks.
 //!
-//! When the token sequence is edited, [`GssParser::parse_resumed`] takes
-//! the edit's [`TokenEdit`] extent and re-parses in four steps:
+//! When the token sequence is edited, [`GssRun::resume`] takes the edit's
+//! [`TokenEdit`] extent and re-parses in four steps:
 //!
 //! 1. **Rewind.** Roll the context back to the checkpoint at the leftmost
 //!    damaged position: move every pool's write cursor back to the
@@ -119,69 +129,39 @@ pub struct GssParseResult {
 /// [`ParseCtx`] (read it with [`ParseCtx::forest`]) so that recycled
 /// contexts keep their arena capacity across requests.
 ///
-/// A budgeted run ([`GssParser::parse_into_budgeted`] and friends) may stop
-/// cooperatively mid-parse, yielding [`ParseOutcome::Exhausted`] with the
-/// limit that tripped; the context then holds a *partial* GSS/forest and
-/// must be reset (or quarantined) before reuse. Unbudgeted entry points
-/// always return [`ParseOutcome::Done`].
+/// A run under a limited budget ([`GssRun::budget`]) may stop
+/// cooperatively mid-parse, reporting the limit that tripped
+/// ([`ParseOutcome::exhausted`]); the context then holds a *partial*
+/// GSS/forest and must be reset (or quarantined) before reuse.
 #[derive(Clone, Copy, Debug)]
-pub enum ParseOutcome {
-    /// The parse ran to completion.
-    Done {
-        /// Whether the input is a sentence of the language.
-        accepted: bool,
-        /// Work counters.
-        stats: GssStats,
-        /// The grammar version of the table handle the parse ran against.
-        grammar_version: u64,
-    },
-    /// The parse was cut off by its [`ParseBudget`] before reaching a
-    /// verdict; nothing can be said about the input's membership.
-    Exhausted {
-        /// The first budget limit that tripped.
-        reason: ExhaustReason,
-        /// Work counters up to the cutoff.
-        stats: GssStats,
-        /// The grammar version of the table handle the parse ran against.
-        grammar_version: u64,
-    },
+pub struct ParseOutcome {
+    accepted: bool,
+    exhausted: Option<ExhaustReason>,
+    stats: GssStats,
+    grammar_version: u64,
 }
 
 impl ParseOutcome {
     /// Whether the input was accepted. An exhausted parse reached no
     /// verdict and reports `false`.
     pub fn accepted(&self) -> bool {
-        match *self {
-            ParseOutcome::Done { accepted, .. } => accepted,
-            ParseOutcome::Exhausted { .. } => false,
-        }
+        self.accepted
     }
 
     /// Work counters (up to the cutoff, for an exhausted parse).
     pub fn stats(&self) -> GssStats {
-        match *self {
-            ParseOutcome::Done { stats, .. } | ParseOutcome::Exhausted { stats, .. } => stats,
-        }
+        self.stats
     }
 
     /// The grammar version of the table handle the parse ran against.
     pub fn grammar_version(&self) -> u64 {
-        match *self {
-            ParseOutcome::Done {
-                grammar_version, ..
-            }
-            | ParseOutcome::Exhausted {
-                grammar_version, ..
-            } => grammar_version,
-        }
+        self.grammar_version
     }
 
-    /// The budget limit that cut the parse off, if any.
+    /// The first budget limit that cut the parse off before it reached a
+    /// verdict, if any.
     pub fn exhausted(&self) -> Option<ExhaustReason> {
-        match *self {
-            ParseOutcome::Done { .. } => None,
-            ParseOutcome::Exhausted { reason, .. } => Some(reason),
-        }
+        self.exhausted
     }
 
     /// Packages the outcome with an owned forest as a [`GssParseResult`]
@@ -298,8 +278,8 @@ struct Checkpoint {
     frontier_len: u32,
 }
 
-/// The recorded checkpoints of one [`GssParser::parse_recorded`] run,
-/// enabling [`GssParser::parse_resumed`] to re-parse an edited token
+/// The recorded checkpoints of one [`GssRun::record`] run, enabling
+/// [`GssRun::resume`] to re-parse an edited token
 /// sequence from the leftmost damaged position instead of from scratch.
 ///
 /// A history is only meaningful together with the [`ParseCtx`] it was
@@ -335,9 +315,8 @@ impl ParseHistory {
     }
 
     /// The furthest token position this history can resume from: the
-    /// position of the last recorded checkpoint (see
-    /// [`GssParser::parse_resumed`], which clamps the damage position to
-    /// this).
+    /// position of the last recorded checkpoint (see [`GssRun::resume`],
+    /// which clamps the damage position to this).
     pub fn end_pos(&self) -> usize {
         self.checkpoints.len().saturating_sub(1)
     }
@@ -364,7 +343,7 @@ impl ParseHistory {
 
 /// The token extent of one edit: `old_len` tokens at `start` were
 /// replaced by `new_len` tokens, and everything after them is unchanged.
-/// [`GssParser::parse_resumed`] re-runs from `start`; when the edit keeps
+/// [`GssRun::resume`] re-runs from `start`; when the edit keeps
 /// the token count it also watches for convergence past `start + new_len`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TokenEdit {
@@ -380,20 +359,6 @@ impl TokenEdit {
     fn keeps_length(&self) -> bool {
         self.old_len == self.new_len
     }
-}
-
-/// The result of [`GssParser::parse_resumed`].
-#[derive(Clone, Copy, Debug)]
-pub struct Resumed {
-    /// The outcome of the edited sequence. Its [`GssStats`] count only the
-    /// re-run portion, which is how serving layers measure incremental
-    /// savings (`states_rerun`).
-    pub outcome: ParseOutcome,
-    /// The position the re-run started from.
-    pub from: usize,
-    /// The position where the re-run converged with the recorded run and
-    /// kept the recorded suffix, if it did before the end.
-    pub converged_at: Option<usize>,
 }
 
 /// Memo of the convergence walk, per GSS node the re-run may have touched.
@@ -584,10 +549,6 @@ pub struct ParseCtx {
     forest: Forest,
     /// State of a same-length resume in progress.
     splice: Splice,
-    /// A caller-owned token buffer for pre-lexed requests (filled by e.g.
-    /// a sentence tokenizer, parsed via [`GssParser::parse_buffered`]).
-    /// Not parse scratch: [`ParseCtx::reset`] leaves it alone.
-    pub tokens: Vec<SymbolId>,
 }
 
 impl ParseCtx {
@@ -596,9 +557,8 @@ impl ParseCtx {
         Self::default()
     }
 
-    /// Clears all parse scratch (not [`ParseCtx::tokens`]) while keeping
-    /// every pool's capacity. The drivers call this at the start of every
-    /// run; it is idempotent.
+    /// Clears all parse scratch while keeping every pool's capacity. The
+    /// driver calls this at the start of every fresh run; it is idempotent.
     pub fn reset(&mut self) {
         self.nodes.clear();
         self.edges.clear();
@@ -614,12 +574,20 @@ impl ParseCtx {
         self.accepting.clear();
         self.forest.clear();
         self.splice.active = false;
+        self.splice.converged_at = None;
     }
 
     /// The forest of the most recent parse run in this context (empty
     /// after a recognition-only run or a reset).
     pub fn forest(&self) -> &Forest {
         &self.forest
+    }
+
+    /// Where the most recent run, a [`GssRun::resume`], converged with the
+    /// recorded run and kept the recorded suffix; `None` when it replayed
+    /// to the end or was not a resume.
+    pub fn converged_at(&self) -> Option<usize> {
+        self.splice.converged_at
     }
 
     /// Moves the forest out of the context, leaving an empty one behind.
@@ -696,6 +664,80 @@ fn _assert_ctx_is_send() {
     is_send::<ParseCtx>();
 }
 
+/// One run of the GSS driver, for [`GssParser::run`]: the terminals to
+/// read, whether to build a forest, the history to record into or resume
+/// from, and a [`ParseBudget`] ([`ParseBudget::UNLIMITED`] unless
+/// [`GssRun::budget`] sets one). The constructors admit only the runs
+/// that exist: recording and resuming build a forest and read an
+/// in-memory token sequence.
+#[derive(Debug)]
+pub struct GssRun<'a, S> {
+    source: S,
+    mode: RunMode<'a>,
+    budget: ParseBudget,
+}
+
+#[derive(Debug)]
+enum RunMode<'a> {
+    Recognize,
+    Parse,
+    Record(&'a mut ParseHistory),
+    /// Roll back to the checkpoint at `from`, then re-run.
+    Resume(&'a mut ParseHistory, TokenEdit, usize),
+}
+
+impl<'a, S: TokenSource> GssRun<'a, S> {
+    fn new(source: S, mode: RunMode<'a>) -> Self {
+        let budget = ParseBudget::UNLIMITED;
+        GssRun { source, mode, budget }
+    }
+
+    /// Parses `source`, building the shared forest in the context's arena.
+    pub fn parse(source: S) -> Self {
+        Self::new(source, RunMode::Parse)
+    }
+
+    /// Recognises `source`: the same graph-structured stack, but no forest
+    /// nodes or packed derivations.
+    pub fn recognize(source: S) -> Self {
+        Self::new(source, RunMode::Recognize)
+    }
+
+    /// Runs under `budget`: the driver checks it every
+    /// [`crate::budget::BUDGET_CHECK_STRIDE`] work units and stops
+    /// ([`ParseOutcome::exhausted`]) when a limit trips, leaving a partial
+    /// GSS, forest and history behind. Callers must reset or discard them.
+    pub fn budget(self, budget: ParseBudget) -> Self {
+        GssRun { budget, ..self }
+    }
+}
+
+impl<'a> GssRun<'a, SliceTokens<'a>> {
+    /// Parses `tokens` while recording a per-token [`ParseHistory`]
+    /// (cleared first) into `history`, for a later [`GssRun::resume`].
+    pub fn record(tokens: &'a [SymbolId], history: &'a mut ParseHistory) -> Self {
+        Self::new(SliceTokens::new(tokens), RunMode::Record(history))
+    }
+
+    /// Re-parses the edited sequence `tokens` from the recorded checkpoint
+    /// at `edit.start` (clamped to the history's reach and the new length).
+    /// When the edit keeps the token count, the run stops at the first
+    /// position past the edit where its state provably equals the recorded
+    /// run's (see the module docs) and keeps the recorded suffix
+    /// ([`ParseCtx::converged_at`]); other edits replay to the end. The
+    /// outcome's [`GssStats`] count only the re-run portion.
+    ///
+    /// Requirements: the context and `history` hold the previous recorded
+    /// or resumed run against the same table state, and `edit` describes
+    /// how `tokens` differs from its sequence. The result is then
+    /// bit-identical to a cold [`GssRun::record`] of `tokens`, ready for
+    /// the next resume.
+    pub fn resume(tokens: &'a [SymbolId], history: &'a mut ParseHistory, edit: TokenEdit) -> Self {
+        let from = edit.start.min(history.end_pos()).min(tokens.len());
+        Self::new(SliceTokens::new(&tokens[from..]), RunMode::Resume(history, edit, from))
+    }
+}
+
 /// The graph-structured-stack parser.
 #[derive(Debug)]
 pub struct GssParser<'g> {
@@ -711,10 +753,10 @@ impl<'g> GssParser<'g> {
     /// Recognises `tokens` without building the parse forest (reductions
     /// still traverse the same graph-structured stack, but no forest nodes
     /// or packed derivations are allocated). Allocates a fresh context;
-    /// see [`GssParser::recognize_into`] for the recycled form.
+    /// see [`GssRun::recognize`] for the recycled form.
     pub fn recognize(&self, tables: &dyn ParserTables, tokens: &[SymbolId]) -> bool {
-        let mut ctx = ParseCtx::new();
-        self.recognize_into(&mut ctx, tables, tokens).accepted()
+        let Ok(outcome) = self.run(&mut ParseCtx::new(), tables, GssRun::recognize(SliceTokens::new(tokens)));
+        outcome.accepted()
     }
 
     /// Parses `tokens`, producing the shared forest of all derivations.
@@ -735,217 +777,47 @@ impl<'g> GssParser<'g> {
         tables: &dyn ParserTables,
         tokens: &[SymbolId],
     ) -> ParseOutcome {
-        self.parse_into_budgeted(ctx, tables, tokens, ParseBudget::UNLIMITED)
-    }
-
-    /// [`GssParser::parse_into`] under a [`ParseBudget`]: the driver loop
-    /// checks the budget every [`crate::budget::BUDGET_CHECK_STRIDE`] work
-    /// units and bails with [`ParseOutcome::Exhausted`] when a limit trips,
-    /// leaving a partial forest/GSS in the context.
-    pub fn parse_into_budgeted(
-        &self,
-        ctx: &mut ParseCtx,
-        tables: &dyn ParserTables,
-        tokens: &[SymbolId],
-        budget: ParseBudget,
-    ) -> ParseOutcome {
-        match self.run(ctx, tables, SliceTokens::new(tokens), true, None, None, budget) {
-            Ok(outcome) => outcome,
-            Err(infallible) => match infallible {},
-        }
-    }
-
-    /// Recognises `tokens` in a reusable context (no forest construction).
-    pub fn recognize_into(
-        &self,
-        ctx: &mut ParseCtx,
-        tables: &dyn ParserTables,
-        tokens: &[SymbolId],
-    ) -> ParseOutcome {
-        match self.run(
-            ctx,
-            tables,
-            SliceTokens::new(tokens),
-            false,
-            None,
-            None,
-            ParseBudget::UNLIMITED,
-        ) {
-            Ok(outcome) => outcome,
-            Err(infallible) => match infallible {},
-        }
-    }
-
-    /// Parses `tokens` like [`GssParser::parse_into`] while recording a
-    /// per-token [`ParseHistory`] (cleared first) into `history`, so a
-    /// later edit to the token sequence can be re-parsed incrementally via
-    /// [`GssParser::parse_resumed`].
-    pub fn parse_recorded(
-        &self,
-        ctx: &mut ParseCtx,
-        tables: &dyn ParserTables,
-        tokens: &[SymbolId],
-        history: &mut ParseHistory,
-    ) -> ParseOutcome {
-        self.parse_recorded_budgeted(ctx, tables, tokens, history, ParseBudget::UNLIMITED)
-    }
-
-    /// [`GssParser::parse_recorded`] under a [`ParseBudget`]. An exhausted
-    /// run leaves the context *and* history partial; callers must discard
-    /// both (document sessions desync and rebuild on the next edit).
-    pub fn parse_recorded_budgeted(
-        &self,
-        ctx: &mut ParseCtx,
-        tables: &dyn ParserTables,
-        tokens: &[SymbolId],
-        history: &mut ParseHistory,
-        budget: ParseBudget,
-    ) -> ParseOutcome {
-        history.clear();
-        match self.run(
-            ctx,
-            tables,
-            SliceTokens::new(tokens),
-            true,
-            Some(history),
-            None,
-            budget,
-        ) {
-            Ok(outcome) => outcome,
-            Err(infallible) => match infallible {},
-        }
-    }
-
-    /// Re-parses an edited token sequence by rolling `ctx` back to the
-    /// recorded checkpoint at `edit.start` (clamped to the history's reach
-    /// and the new length) and running the ordinary driver loop from there.
-    ///
-    /// When the edit keeps the token count, the re-run stops at the first
-    /// position past the edit where its state provably equals the recorded
-    /// run's (see the module docs) and keeps the recorded suffix instead of
-    /// rebuilding it; other edits replay to the end.
-    ///
-    /// Requirements: `ctx` and `history` hold the previous
-    /// [`GssParser::parse_recorded`]/resumed run, `tables` is the same
-    /// table state it ran against, and `edit` describes how `tokens`
-    /// differs from the previous sequence. The result is then
-    /// bit-identical to a cold [`GssParser::parse_recorded`] of `tokens`
-    /// (and leaves `ctx`/`history` ready for the next resume).
-    pub fn parse_resumed(
-        &self,
-        ctx: &mut ParseCtx,
-        tables: &dyn ParserTables,
-        tokens: &[SymbolId],
-        history: &mut ParseHistory,
-        edit: TokenEdit,
-    ) -> Resumed {
-        self.parse_resumed_budgeted(ctx, tables, tokens, history, edit, ParseBudget::UNLIMITED)
-    }
-
-    /// [`GssParser::parse_resumed`] under a [`ParseBudget`]. An exhausted
-    /// resume leaves the context and history partial; callers must discard
-    /// both (document sessions desync and rebuild on the next edit).
-    pub fn parse_resumed_budgeted(
-        &self,
-        ctx: &mut ParseCtx,
-        tables: &dyn ParserTables,
-        tokens: &[SymbolId],
-        history: &mut ParseHistory,
-        edit: TokenEdit,
-        budget: ParseBudget,
-    ) -> Resumed {
-        let from = edit.start.min(history.end_pos()).min(tokens.len());
-        ctx.restore(history, from, edit);
-        let source = SliceTokens::new(&tokens[from..]);
-        let outcome = match self.run(ctx, tables, source, true, Some(history), Some(from), budget) {
-            Ok(outcome) => outcome,
-            Err(infallible) => match infallible {},
-        };
-        Resumed {
-            outcome,
-            from,
-            converged_at: ctx.splice.converged_at,
-        }
-    }
-
-    /// Parses the sentence previously placed in [`ParseCtx::tokens`] —
-    /// the buffered form for callers that tokenize into the context's own
-    /// buffer and then parse, without a second borrow of the context.
-    pub fn parse_buffered(&self, ctx: &mut ParseCtx, tables: &dyn ParserTables) -> ParseOutcome {
-        self.parse_buffered_budgeted(ctx, tables, ParseBudget::UNLIMITED)
-    }
-
-    /// [`GssParser::parse_buffered`] under a [`ParseBudget`].
-    pub fn parse_buffered_budgeted(
-        &self,
-        ctx: &mut ParseCtx,
-        tables: &dyn ParserTables,
-        budget: ParseBudget,
-    ) -> ParseOutcome {
-        let tokens = std::mem::take(&mut ctx.tokens);
-        let outcome = self.parse_into_budgeted(ctx, tables, &tokens, budget);
-        ctx.tokens = tokens;
+        let Ok(outcome) = self.run(ctx, tables, GssRun::parse(SliceTokens::new(tokens)));
         outcome
     }
 
-    /// Parses a streamed token source (lexer→parser fusion): terminals are
-    /// pulled one at a time, so no token vector ever exists. A source
-    /// error (e.g. a scan error in fused tokenization) aborts the parse;
-    /// because the source is only polled as far as the parse advances, an
-    /// error beyond the point where every parallel parser already died is
-    /// *not* observed — the parse reports a plain rejection.
-    pub fn parse_stream<S: TokenSource>(
+    /// Runs the driver loop as `run` describes, in a reusable context that
+    /// a fresh run resets and a resume rolls back. The budget is consulted
+    /// through an amortized [`BudgetGuard`] — one work unit per token and
+    /// per reduction path (shifts are counted in bulk) — so the unlimited
+    /// warm path pays a counter bump and a never-taken branch. A source
+    /// error (e.g. a scan error in fused tokenization) aborts the run; the
+    /// source is only polled as far as the parse advances, so an error
+    /// beyond the point where every parallel parser died is *not* observed
+    /// — the run reports a plain rejection.
+    pub fn run<S: TokenSource>(
         &self,
         ctx: &mut ParseCtx,
         tables: &dyn ParserTables,
-        source: S,
+        run: GssRun<'_, S>,
     ) -> Result<ParseOutcome, S::Error> {
-        self.run(ctx, tables, source, true, None, None, ParseBudget::UNLIMITED)
-    }
-
-    /// [`GssParser::parse_stream`] under a [`ParseBudget`] — the budgeted
-    /// fused text path.
-    pub fn parse_stream_budgeted<S: TokenSource>(
-        &self,
-        ctx: &mut ParseCtx,
-        tables: &dyn ParserTables,
-        source: S,
-        budget: ParseBudget,
-    ) -> Result<ParseOutcome, S::Error> {
-        self.run(ctx, tables, source, true, None, None, budget)
-    }
-
-    /// Recognises a streamed token source (no forest construction).
-    pub fn recognize_stream<S: TokenSource>(
-        &self,
-        ctx: &mut ParseCtx,
-        tables: &dyn ParserTables,
-        source: S,
-    ) -> Result<ParseOutcome, S::Error> {
-        self.run(ctx, tables, source, false, None, None, ParseBudget::UNLIMITED)
-    }
-
-    /// The driver loop. `record` enables checkpoint recording; `resume_at`
-    /// is `None` for a fresh run (which resets the context), or the token
-    /// position [`ParseCtx::restore`] has already rolled the context back
-    /// to (`source` then yields the tokens from there on). `budget` is
-    /// consulted through an amortized [`BudgetGuard`] — one work unit per
-    /// token and per reduction path (shifts are counted in bulk) — so the
-    /// unlimited warm path pays a counter bump and a never-taken branch.
-    #[allow(clippy::too_many_arguments)]
-    fn run<S: TokenSource>(
-        &self,
-        ctx: &mut ParseCtx,
-        tables: &dyn ParserTables,
-        mut source: S,
-        build_forest: bool,
-        mut record: Option<&mut ParseHistory>,
-        resume_at: Option<usize>,
-        budget: ParseBudget,
-    ) -> Result<ParseOutcome, S::Error> {
+        let GssRun { mut source, mode, budget } = run;
+        let build_forest = !matches!(mode, RunMode::Recognize);
+        let (mut record, resume_at) = match mode {
+            RunMode::Recognize | RunMode::Parse => (None, None),
+            RunMode::Record(history) => {
+                history.clear();
+                (Some(history), None)
+            }
+            RunMode::Resume(history, edit, from) => {
+                ctx.restore(history, from, edit);
+                (Some(history), Some(from))
+            }
+        };
         if resume_at.is_none() {
             ctx.reset();
         }
+        let finish = |accepted, exhausted, stats| ParseOutcome {
+            accepted,
+            exhausted,
+            stats,
+            grammar_version: tables.grammar_version(),
+        };
         let eof = self.grammar.eof_symbol();
         let mut stats = GssStats::default();
         let mut accepted = false;
@@ -965,7 +837,6 @@ impl<'g> GssParser<'g> {
             accepting,
             forest,
             splice,
-            tokens: _,
         } = ctx;
 
         if resume_at.is_none() {
@@ -1000,11 +871,7 @@ impl<'g> GssParser<'g> {
                     history.frontier.splice();
                     splice.active = false;
                     splice.converged_at = Some(pos);
-                    return Ok(ParseOutcome::Done {
-                        accepted: history.accepted,
-                        stats,
-                        grammar_version: tables.grammar_version(),
-                    });
+                    return Ok(finish(history.accepted, None, stats));
                 }
                 history.record(pos, nodes, edges.len(), forest, &cur.entries);
             }
@@ -1018,11 +885,7 @@ impl<'g> GssParser<'g> {
                 || gss_bytes(nodes, edges),
                 || forest.approx_bytes(),
             ) {
-                return Ok(ParseOutcome::Exhausted {
-                    reason,
-                    stats,
-                    grammar_version: tables.grammar_version(),
-                });
+                return Ok(finish(false, Some(reason), stats));
             }
 
             // --- Reducer -------------------------------------------------
@@ -1069,11 +932,7 @@ impl<'g> GssParser<'g> {
                         || gss_bytes(nodes, edges),
                         || forest.approx_bytes(),
                     ) {
-                        return Ok(ParseOutcome::Exhausted {
-                            reason,
-                            stats,
-                            grammar_version: tables.grammar_version(),
-                        });
+                        return Ok(finish(false, Some(reason), stats));
                     }
                     let target = path_ends[path];
                     let labels = &path_labels[path * arity..(path + 1) * arity];
@@ -1212,11 +1071,7 @@ impl<'g> GssParser<'g> {
             history.accepted = accepted;
         }
 
-        Ok(ParseOutcome::Done {
-            accepted,
-            stats,
-            grammar_version: tables.grammar_version(),
-        })
+        Ok(finish(accepted, None, stats))
     }
 }
 
@@ -1596,19 +1451,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn buffered_parse_uses_the_context_token_buffer() {
-        let g = fixtures::booleans();
-        let table = lr0_table(&g);
-        let parser = GssParser::new(&g);
-        let mut ctx = ParseCtx::new();
-        ctx.tokens = tokenize_names(&g, "true and false").unwrap();
-        let outcome = parser.parse_buffered(&mut ctx, &table);
-        assert!(outcome.accepted());
-        // The buffer survives the parse (reset leaves it alone).
-        assert_eq!(ctx.tokens.len(), 3);
-    }
-
     /// Digest of a parse for exact-equality comparison: acceptance, roots,
     /// tree count and the first tree's shape.
     fn digest(g: &Grammar, accepted: bool, forest: &Forest) -> (bool, usize, usize, Option<String>) {
@@ -1636,6 +1478,18 @@ mod tests {
             old_len: base.len() - start - suffix,
             new_len: edited.len() - start - suffix,
         }
+    }
+
+    /// A recorded run of `tokens` (unbudgeted unless `budget` says).
+    fn record(parser: &GssParser<'_>, ctx: &mut ParseCtx, table: &ParseTable, tokens: &[SymbolId], history: &mut ParseHistory, budget: ParseBudget) -> ParseOutcome {
+        let Ok(outcome) = parser.run(ctx, table, GssRun::record(tokens, history).budget(budget));
+        outcome
+    }
+
+    /// A resumed run of the edited `tokens`.
+    fn resume(parser: &GssParser<'_>, ctx: &mut ParseCtx, table: &ParseTable, tokens: &[SymbolId], history: &mut ParseHistory, edit: TokenEdit, budget: ParseBudget) -> ParseOutcome {
+        let Ok(outcome) = parser.run(ctx, table, GssRun::resume(tokens, history, edit).budget(budget));
+        outcome
     }
 
     /// Asserts that a context/history pair holds exactly the pools of
@@ -1666,25 +1520,25 @@ mod tests {
             .count();
         let mut cold_ctx = ParseCtx::new();
         let mut cold_history = ParseHistory::new();
-        let cold = parser.parse_recorded(&mut cold_ctx, &table, &edited_tokens, &mut cold_history);
+        let cold = record(&parser, &mut cold_ctx, &table, &edited_tokens, &mut cold_history, ParseBudget::UNLIMITED);
         let want = digest(g, cold.accepted(), cold_ctx.forest());
         let mut converged = 0;
         for damage in 0..=common {
             let edit = edit_from(&base_tokens, &edited_tokens, damage);
             let mut ctx = ParseCtx::new();
             let mut history = ParseHistory::new();
-            parser.parse_recorded(&mut ctx, &table, &base_tokens, &mut history);
-            let resumed = parser.parse_resumed(&mut ctx, &table, &edited_tokens, &mut history, edit);
-            let what = format!("`{base}` -> `{edited}` resumed at {} (damage {damage})", resumed.from);
-            assert!(resumed.from <= damage);
-            assert_eq!(digest(g, resumed.outcome.accepted(), ctx.forest()), want, "{what}");
+            record(&parser, &mut ctx, &table, &base_tokens, &mut history, ParseBudget::UNLIMITED);
+            let resumed = resume(&parser, &mut ctx, &table, &edited_tokens, &mut history, edit, ParseBudget::UNLIMITED);
+            let what = format!("`{base}` -> `{edited}` resumed at damage {damage}");
+            assert_eq!(digest(g, resumed.accepted(), ctx.forest()), want, "{what}");
             assert_same_pools(&ctx, &history, &cold_ctx, &cold_history, &what);
-            converged += usize::from(resumed.converged_at.is_some());
+            converged += usize::from(ctx.converged_at().is_some());
             // The rolled-forward history must itself support further
             // resumes: replay the same edit once more at the same damage
             // (a same-length edit then converges with what it recorded).
-            let again = parser.parse_resumed(&mut ctx, &table, &edited_tokens, &mut history, edit_from(&edited_tokens, &edited_tokens, damage));
-            assert_eq!(digest(g, again.outcome.accepted(), ctx.forest()), want, "second resume");
+            let again_edit = edit_from(&edited_tokens, &edited_tokens, damage);
+            let again = resume(&parser, &mut ctx, &table, &edited_tokens, &mut history, again_edit, ParseBudget::UNLIMITED);
+            assert_eq!(digest(g, again.accepted(), ctx.forest()), want, "second resume");
             assert_same_pools(&ctx, &history, &cold_ctx, &cold_history, "second resume");
         }
         converged
@@ -1704,14 +1558,14 @@ mod tests {
         let start = a.iter().zip(&b).take_while(|(x, y)| x == y).count();
         let mut ctx = ParseCtx::new();
         let mut history = ParseHistory::new();
-        parser.parse_recorded(&mut ctx, &table, &a, &mut history);
+        record(&parser, &mut ctx, &table, &a, &mut history, ParseBudget::UNLIMITED);
         for round in 0..4 {
             let (from, to) = if round % 2 == 0 { (&a, &b) } else { (&b, &a) };
-            let resumed = parser.parse_resumed(&mut ctx, &table, to, &mut history, edit_from(from, to, start));
-            assert!(resumed.converged_at.is_some(), "round {round} converged");
+            resume(&parser, &mut ctx, &table, to, &mut history, edit_from(from, to, start), ParseBudget::UNLIMITED);
+            assert!(ctx.converged_at().is_some(), "round {round} converged");
             let mut cold_ctx = ParseCtx::new();
             let mut cold_history = ParseHistory::new();
-            parser.parse_recorded(&mut cold_ctx, &table, to, &mut cold_history);
+            record(&parser, &mut cold_ctx, &table, to, &mut cold_history, ParseBudget::UNLIMITED);
             assert_same_pools(&ctx, &history, &cold_ctx, &cold_history, &format!("round {round}"));
         }
     }
@@ -1772,12 +1626,15 @@ mod tests {
         let edited = tokenize_names(&g, "true or false and true").unwrap();
         let mut ctx = ParseCtx::new();
         let mut history = ParseHistory::new();
-        parser.parse_recorded(&mut ctx, &table, &base, &mut history);
+        record(&parser, &mut ctx, &table, &base, &mut history, ParseBudget::UNLIMITED);
         assert_eq!(history.end_pos(), base.len());
-        let resumed = parser.parse_resumed(&mut ctx, &table, &edited, &mut history, edit_from(&base, &edited, base.len()));
-        assert_eq!(resumed.from, base.len());
-        assert!(resumed.outcome.accepted());
+        let retained = history.checkpoints[base.len()].nodes as usize;
+        let resumed = resume(&parser, &mut ctx, &table, &edited, &mut history, edit_from(&base, &edited, base.len()), ParseBudget::UNLIMITED);
+        assert!(resumed.accepted());
         let cold = parser.parse(&table, &edited);
+        // The re-run started at the old end: it built only the nodes the
+        // cold parse has beyond the checkpoint there.
+        assert_eq!(resumed.stats().nodes, cold.stats.nodes - retained);
         assert_eq!(
             ctx.forest().first_tree().map(|t| t.to_sexpr(&g)),
             cold.forest.first_tree().map(|t| t.to_sexpr(&g))
@@ -1818,15 +1675,15 @@ mod tests {
         let tokens = tokenize_names(&g, "a b b a b b a").unwrap();
         let mut cold_ctx = ParseCtx::new();
         let mut cold_history = ParseHistory::new();
-        parser.parse_recorded(&mut cold_ctx, &table, &tokens, &mut cold_history);
+        record(&parser, &mut cold_ctx, &table, &tokens, &mut cold_history, ParseBudget::UNLIMITED);
         let mut ctx = ParseCtx::new();
         let mut history = ParseHistory::new();
-        parser.parse_recorded(&mut ctx, &table, &tokens, &mut history);
+        record(&parser, &mut ctx, &table, &tokens, &mut history, ParseBudget::UNLIMITED);
         for start in 0..tokens.len() {
             let edit = TokenEdit { start, old_len: 1, new_len: 1 };
-            let resumed = parser.parse_resumed(&mut ctx, &table, &tokens, &mut history, edit);
-            assert_eq!(resumed.converged_at, Some(start + 1), "retype at {start}");
-            assert_eq!(resumed.outcome.accepted(), cold_history.accepted);
+            let resumed = resume(&parser, &mut ctx, &table, &tokens, &mut history, edit, ParseBudget::UNLIMITED);
+            assert_eq!(ctx.converged_at(), Some(start + 1), "retype at {start}");
+            assert_eq!(resumed.accepted(), cold_history.accepted);
             assert_same_pools(&ctx, &history, &cold_ctx, &cold_history, &format!("retype at {start}"));
         }
     }
@@ -1839,9 +1696,7 @@ mod tests {
         let mut ctx = ParseCtx::new();
         for sentence in ["true or false", "true true", ""] {
             let tokens = tokenize_names(&g, sentence).unwrap();
-            let outcome = parser
-                .parse_stream(&mut ctx, &table, SliceTokens::new(&tokens))
-                .unwrap();
+            let Ok(outcome) = parser.run(&mut ctx, &table, GssRun::parse(SliceTokens::new(&tokens)));
             assert_eq!(
                 outcome.accepted(),
                 parser.recognize(&table, &tokens),
@@ -1859,7 +1714,7 @@ mod tests {
         let sentence = "true or false and true or true and false or true";
         let tokens = tokenize_names(&g, sentence).unwrap();
         let budget = ParseBudget::default().with_fuel(1);
-        let outcome = parser.parse_into_budgeted(&mut ctx, &table, &tokens, budget);
+        let Ok(outcome) = parser.run(&mut ctx, &table, GssRun::parse(SliceTokens::new(&tokens)).budget(budget));
         assert_eq!(outcome.exhausted(), Some(ExhaustReason::Fuel));
         assert!(!outcome.accepted());
         // A reset context parses fine afterwards (partial state is benign
@@ -1878,7 +1733,7 @@ mod tests {
         let sentence = "true or false and true or true and false or true";
         let tokens = tokenize_names(&g, sentence).unwrap();
         let budget = ParseBudget::default().with_max_gss_bytes(1);
-        let outcome = parser.parse_into_budgeted(&mut ctx, &table, &tokens, budget);
+        let Ok(outcome) = parser.run(&mut ctx, &table, GssRun::parse(SliceTokens::new(&tokens)).budget(budget));
         assert_eq!(outcome.exhausted(), Some(ExhaustReason::GssBytes));
     }
 
@@ -1888,18 +1743,35 @@ mod tests {
         let table = lr0_table(&g);
         let parser = GssParser::new(&g);
         let mut ctx = ParseCtx::new();
-        let sentence = "id + id * id + id";
-        let tokens = tokenize_names(&g, sentence).unwrap();
-        let budget = ParseBudget::default()
+        let tokens = tokenize_names(&g, "id + id * id + id").unwrap();
+        let generous = ParseBudget::default()
             .with_fuel(10_000_000)
             .with_max_gss_bytes(64 << 20)
             .with_max_forest_bytes(64 << 20);
-        let budgeted = parser.parse_into_budgeted(&mut ctx, &table, &tokens, budget);
+        let Ok(budgeted) = parser.run(&mut ctx, &table, GssRun::parse(SliceTokens::new(&tokens)).budget(generous));
         let budgeted_digest = digest(&g, budgeted.accepted(), ctx.forest());
         assert!(budgeted.exhausted().is_none());
         let plain = parser.parse_into(&mut ctx, &table, &tokens);
         assert_eq!(budgeted_digest, digest(&g, plain.accepted(), ctx.forest()));
         assert_eq!(budgeted.stats(), plain.stats());
+
+        // A recorded run followed by a converging resume, under each
+        // budget: the same digest, stats and convergence point.
+        let base = tokenize_names(&g, "( id + id ) * id + id").unwrap();
+        let edited = tokenize_names(&g, "( id * id ) * id + id").unwrap();
+        let edit = edit_from(&base, &edited, 2);
+        let runs = [generous, ParseBudget::UNLIMITED].map(|budget| {
+            let mut ctx = ParseCtx::new();
+            let mut history = ParseHistory::new();
+            let recorded = record(&parser, &mut ctx, &table, &base, &mut history, budget);
+            let recorded = (digest(&g, recorded.accepted(), ctx.forest()), recorded.stats());
+            let resumed = resume(&parser, &mut ctx, &table, &edited, &mut history, edit, budget);
+            assert!(resumed.exhausted().is_none());
+            let resumed = (digest(&g, resumed.accepted(), ctx.forest()), resumed.stats());
+            (recorded, resumed, ctx.converged_at())
+        });
+        assert!(runs[0].2.is_some(), "the substitution converges");
+        assert_eq!(runs[0], runs[1]);
     }
 
     use ipg_grammar::Grammar;

@@ -46,7 +46,7 @@ pub use budget::{ExhaustReason, ParseBudget};
 pub use fault::FaultPlan;
 pub use forest::{Derivation, Derivations, Forest, ForestNode, ForestRef, NodeId};
 pub use gss::{
-    GssParseResult, GssParser, GssStats, ParseCtx, ParseHistory, ParseOutcome, Resumed, TokenEdit,
+    GssParseResult, GssParser, GssRun, GssStats, ParseCtx, ParseHistory, ParseOutcome, TokenEdit,
 };
 pub use pool::{PoolCtx, PoolError, PoolGlrParser, PoolStats};
 pub use source::{SliceTokens, TokenSource};

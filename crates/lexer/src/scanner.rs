@@ -316,7 +316,7 @@ impl Scanner {
 
     /// A re-lazified copy: the same active definitions with the
     /// materialised DFA discarded, exactly as the compacting recompile in
-    /// [`Scanner::maybe_compact`] would leave it. Scanning against the copy
+    /// `Scanner::maybe_compact` would leave it. Scanning against the copy
     /// re-derives only the states the retouched inputs actually need — the
     /// eviction half of the registry's evict → re-lazify cycle. Lifetime
     /// counters (`rebuilds`, `carried_states`) are preserved so stats stay

@@ -10,7 +10,7 @@
 //! * the abstract syntax of SDF modules ([`ast`]),
 //! * a hand-written parser for the textual notation ([`parse`]),
 //! * normalisation into a context-free grammar plus a scanner derived from
-//!   the lexical syntax ([`normalize`]) — iterations such as `A+`, `A*` and
+//!   the lexical syntax ([`normalize`](mod@normalize)) — iterations such as `A+`, `A*` and
 //!   `{A ","}+` are expanded into auxiliary non-terminals, literals become
 //!   keyword tokens, lexical sorts become token definitions,
 //! * the paper's fixtures: the SDF definition of SDF and the four

@@ -9,7 +9,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use ipg::{IpgServer, IpgSession};
+use ipg::{IpgServer, IpgSession, ParseBudget, Request};
 use ipg_grammar::fixtures;
 use ipg_lexer::simple_scanner;
 
@@ -105,6 +105,34 @@ fn warm_pooled_token_parses_perform_zero_allocations() {
     assert_eq!(
         allocated, 0,
         "warm pooled parse/recognize must not allocate (counted {allocated})"
+    );
+}
+
+#[test]
+fn warm_budgeted_sentence_requests_perform_zero_allocations() {
+    // The wire `PARSE-TOKENS` path: a sentence of terminal names under a
+    // budget, answered from the pooled result without copying the forest.
+    let server = text_server();
+    server.warm();
+    let sentence = "true or true or true";
+    let budget = ParseBudget::default()
+        .with_fuel(1 << 20)
+        .with_max_gss_bytes(1 << 20)
+        .with_max_forest_bytes(1 << 20);
+    let version = server.grammar_version();
+    for _ in 0..3 {
+        assert!(server.serve(Request::Sentence(sentence), budget).unwrap().accepted());
+    }
+    let before = thread_allocations();
+    let parsed = server.serve(Request::Sentence(sentence), budget).unwrap();
+    assert!(parsed.accepted());
+    assert_eq!(parsed.grammar_version(), version);
+    assert!(parsed.forest().is_ambiguous());
+    drop(parsed);
+    let allocated = thread_allocations() - before;
+    assert_eq!(
+        allocated, 0,
+        "a warm budgeted sentence request must not allocate (counted {allocated})"
     );
 }
 
