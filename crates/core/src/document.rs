@@ -4,7 +4,8 @@
 //! A document session (created by [`IpgServer::open_document`]) keeps
 //! the whole text→forest pipeline warm between edits:
 //!
-//! * the text and its character vector;
+//! * the text, which the re-lexer scans in place (every position is a
+//!   byte offset into it);
 //! * the lexer's token-anchored [`MatchRec`] list: record `i` is token `i`
 //!   with the layout before it, and one final record holds the trailing
 //!   layout (`ipg_lexer::relex`). Each record carries its examined extent,
@@ -28,7 +29,7 @@
 //!
 //! [`IpgServer::apply_edit`] is the hot path:
 //!
-//! 1. splice the text and characters, and re-lex only the damaged records.
+//! 1. splice the text, and re-lex only the damaged records.
 //!    Record and token indices agree, so the record count changes exactly
 //!    when the token count does: an edit that keeps the token count
 //!    replaces its records in place, and a same-length one shifts no
@@ -88,8 +89,8 @@ struct DocumentSession {
     /// cache misses, replaced when the epoch is re-pinned).
     pin: Arc<DfaSnapshot>,
     text: String,
-    /// Characters, records, terminals, GSS context and checkpoint history:
-    /// a pooled context, held from open to close.
+    /// Records, terminals, GSS context and checkpoint history: a pooled
+    /// context, held from open to close.
     mem: Box<RequestCtx>,
     /// Whether the state in `mem` describes `text`. False after a scan
     /// error applied the text edit but could not rebuild the parse state;
@@ -402,9 +403,9 @@ impl IpgServer {
     }
 }
 
-/// Lexes a whole document text into `mem` with `epoch`'s scanner —
-/// characters, token records and terminals — and returns the DFA snapshot
-/// pin the records were built against.
+/// Lexes a whole document text into `mem` with `epoch`'s scanner — token
+/// records and terminals — and returns the DFA snapshot pin the records
+/// were built against.
 fn lex_document(
     epoch: &GrammarEpoch,
     text: &str,
@@ -412,12 +413,8 @@ fn lex_document(
 ) -> Result<Arc<DfaSnapshot>, ServerError> {
     let scanner = epoch.scanner().ok_or(ServerError::NoScanner)?;
     let mut pin = scanner.dfa_snapshot();
-    let RequestCtx {
-        chars, recs, tokens, ..
-    } = mem;
-    chars.clear();
-    chars.extend(text.chars());
-    scanner.lex_records(&mut pin, chars, recs)?;
+    let RequestCtx { recs, tokens, .. } = mem;
+    scanner.lex_records(&mut pin, text, recs)?;
     tokens.clear();
     let (_, token_recs) = recs
         .split_last()
@@ -426,34 +423,28 @@ fn lex_document(
     Ok(pin)
 }
 
-/// Applies an edit to a synced session's text, characters, records and
-/// terminals, re-lexing only the damaged records, and returns what the GSS
-/// must re-run. On a scan error the text edit stands and the rest of the
-/// state is partial.
+/// Applies an edit to a synced session's text, records and terminals,
+/// re-lexing only the damaged records, and returns what the GSS must
+/// re-run. On a scan error the text edit stands and the rest of the state
+/// is partial.
 fn relex_edit(
     doc: &mut DocumentSession,
     range: Range<usize>,
     replacement: &str,
 ) -> Result<Work<'static>, ServerError> {
-    // The char-coordinate edit is derived from the still-synced records
-    // before anything is spliced.
-    let RequestCtx {
-        chars, recs, tokens, ..
-    } = &mut *doc.mem;
-    let edit = relex::char_edit(recs, &doc.text, range.start, range.end, replacement);
-    doc.text.replace_range(range, replacement);
-    chars.splice(edit.char_start..edit.char_end, replacement.chars());
+    let RequestCtx { recs, tokens, .. } = &mut *doc.mem;
+    doc.text.replace_range(range.clone(), replacement);
 
     let scanner = doc
         .epoch
         .scanner()
         .expect("synced session implies a scanner-backed epoch");
     ipg_glr::fault::point("relex");
-    let rel = scanner.relex_splice(&mut doc.pin, recs, chars, edit)?;
+    let rel = scanner.relex_splice(&mut doc.pin, recs, &doc.text, range, replacement.len())?;
     debug_assert!(
         {
             let mut cold = Vec::new();
-            let cold_scan = scanner.lex_records(&mut doc.pin.clone(), chars, &mut cold);
+            let cold_scan = scanner.lex_records(&mut doc.pin.clone(), &doc.text, &mut cold);
             cold_scan.is_ok() && cold == *recs
         },
         "the re-lexed records differ from a cold scan of the edited text"
@@ -778,7 +769,7 @@ mod tests {
         assert_eq!(ipg_glr::fault::injected(), 1);
 
         // The panic left the session mutex poisoned with half-spliced
-        // text/chars. Reads recover and report desync...
+        // state. Reads recover and report desync...
         assert!(!server.document_info(id).unwrap().synced);
         // ...and the next edit rebuilds from scratch and is equivalent to
         // a cold parse of the final text.

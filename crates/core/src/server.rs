@@ -59,9 +59,10 @@
 //! [`RequestCtx`] out of a **per-thread context pool slot** (lock-free: a
 //! `Cell` swap in thread-local storage, keyed by thread exactly like the
 //! per-thread statistics), runs entirely inside it — GSS node/edge pools,
-//! dense frontiers, reduction buffers, the forest arena and the scanner's
-//! character buffer all live in the context and keep their capacity from
-//! request to request — and returns it when done:
+//! dense frontiers, reduction buffers, the forest arena and the token
+//! buffer all live in the context and keep their capacity from request to
+//! request (the scanner needs no buffer: it reads the request text's bytes
+//! in place) — and returns it when done:
 //!
 //! ```text
 //! request --> checkout ctx --> pin epoch --> parse --> release pin --> return ctx
@@ -70,8 +71,8 @@
 //! ```
 //!
 //! A document session ([`IpgServer::open_document`]) checks its context
-//! out at open, keeps its characters, match records, tokens, GSS state and
-//! checkpoint history in it while the document is open, and checks it
+//! out at open, keeps its match records, tokens, GSS state and checkpoint
+//! history in it while the document is open, and checks it
 //! back in at close, so document memory is recycled the same way.
 //!
 //! Every request takes **one path**: a stateless [`Request`] goes through
@@ -460,9 +461,8 @@ impl TokenSource for EpochTokenSource<'_> {
 
 /// A reusable per-worker request context: everything one request needs as
 /// scratch — the GSS driver's [`ParseCtx`] (node/edge pools, frontiers,
-/// forest arena), the scanner's character buffer and a token buffer — and
-/// the rest of a document session's memory: its checkpoint history and
-/// match records.
+/// forest arena) and a token buffer — and the rest of a document session's
+/// memory: its checkpoint history and match records.
 ///
 /// Contexts are recycled through a per-thread pool slot (see the module
 /// docs): a warm request checks one out, parses, and returns it, touching
@@ -472,8 +472,6 @@ impl TokenSource for EpochTokenSource<'_> {
 pub struct RequestCtx {
     /// The parse driver's scratch (forest arena included).
     pub(crate) glr: ParseCtx,
-    /// The scanner's reusable character buffer (a document's characters).
-    pub(crate) chars: Vec<char>,
     /// A document's per-token parse checkpoints.
     pub(crate) history: ParseHistory,
     /// A document's token-anchored match records.
@@ -1003,7 +1001,6 @@ impl IpgServer {
         let parser = GssParser::new(epoch.session.grammar());
         let RequestCtx {
             glr,
-            chars,
             history,
             tokens,
             ..
@@ -1012,7 +1009,7 @@ impl IpgServer {
             Work::Request(Request::Text(input)) => {
                 let scanner = epoch.scanner().ok_or(ServerError::NoScanner)?;
                 let source = EpochTokenSource {
-                    stream: scanner.stream(input, chars),
+                    stream: scanner.stream(input),
                     slots: epoch.terminal_slots(),
                     scanner,
                     deadline: budget.deadline,

@@ -18,32 +18,37 @@
 //! the parser's `ACTION`/`GOTO`, the hot path is served from **pinned
 //! snapshots**: the writer publishes an immutable [`DfaSnapshot`]
 //! (`Arc`-shared) whenever it materialises a state or transition, a
-//! scanner pins one snapshot per `tokenize` call, and every per-character
-//! step is served from immutable data with no locks or atomics at all.
-//! Only a miss (one subset-construction step) takes the writer's lock,
-//! republishes, and refreshes the pin.
+//! scanner pins one snapshot per `tokenize` call, and every step is served
+//! from immutable data with no locks or atomics at all. Only a miss (one
+//! subset-construction step) takes the writer's lock, republishes, and
+//! refreshes the pin.
 //!
-//! ## The dense fast path and its lazy fallback
+//! ## Scanning UTF-8 in place
 //!
-//! Each published snapshot state carries two views of the same memoised
-//! transitions, split by character class:
+//! A scan walks the bytes of the `&str` it is given, and every position it
+//! takes or returns — match lengths, examined extents — is a byte offset
+//! into that text. Each published snapshot state carries two views of the
+//! same memoised transitions:
 //!
-//! * **Dense byte rows** — a `state × 256` table indexed by the scalar
-//!   value, so the Latin-1 hot path (in practice: all of ASCII source
-//!   text) is a single array load per character. A bitmask of the bytes
-//!   that transition a state back to itself additionally powers a
-//!   memchr-style **skip loop**: whitespace, identifier tails and literal
-//!   bodies are swallowed as whole runs, with the longest-match candidate
-//!   updated once per run instead of once per character.
-//! * **The lazy `char` map** — the fallback serving characters `≥ U+0100`
-//!   and any byte whose transition has not been materialised yet (a dense
-//!   entry of "unknown" means exactly "absent from the map").
+//! * **Dense byte rows** — a `state × 256` table indexed by the raw byte,
+//!   so ASCII source text is a single array load per byte. Only ASCII
+//!   entries are ever filled: a byte `≥ 0x80` always reads "unknown". A
+//!   bitmask of the bytes that transition a state back to itself
+//!   additionally powers a memchr-style **skip loop**: whitespace,
+//!   identifier tails and literal bodies are swallowed as whole runs, with
+//!   the longest-match candidate updated once per run instead of once per
+//!   byte.
+//! * **The lazy `char` map** — the path for non-ASCII characters and for
+//!   any ASCII byte whose transition has not been materialised yet (a
+//!   dense entry of "unknown" means exactly "absent from the map"). At a
+//!   non-ASCII lead byte the scanner decodes that one `char`, steps it
+//!   through the map and advances by its UTF-8 width.
 //!
 //! The dense rows are a *cache of the cache*: they are derived from the
 //! memoised map whenever a snapshot state is (re)published, so laziness is
 //! untouched — unknown entries still funnel into the one-step
 //! subset-construction writer, which republishes the touched state with a
-//! refreshed row. Definition changes keep the PR 4 carry-over: states
+//! refreshed row. Definition changes keep the selective carry-over: states
 //! whose published view survives an edit keep their dense rows verbatim
 //! (they share the same per-state `Arc`), and only invalidated states are
 //! re-derived — and re-densified — by need.
@@ -80,11 +85,11 @@ pub struct DfaStats {
     /// states (one per snapshot-state construction; carried-over states
     /// keep their row and are not recounted).
     pub dense_rows_built: usize,
-    /// Characters consumed through the dense byte-row fast path (single
+    /// Bytes consumed through the dense byte-row fast path (single
     /// array-indexed steps).
     pub dense_bytes: usize,
-    /// Characters consumed by the self-transition skip loop (whitespace /
-    /// identifier / literal runs swallowed without per-character state
+    /// Bytes consumed by the self-transition skip loop (whitespace /
+    /// identifier / literal runs swallowed without per-byte state
     /// re-dispatch).
     pub skip_loop_bytes: usize,
 }
@@ -127,18 +132,20 @@ const DENSE_DEAD: u32 = 1;
 /// number of pinned snapshots.
 ///
 /// Alongside the `char`-keyed map, every snapshot state carries a **dense
-/// byte row**: a `256`-entry table indexed directly by the character's
-/// scalar value, so the Latin-1 hot path is one array load instead of a
-/// hash-map probe. The row is a dense *cache of the map* — entry `0` means
-/// "not memoised yet", exactly the map's missing-key case — so laziness is
-/// preserved: unknown bytes still funnel into the subset-construction miss
-/// path, which republishes this state with a refreshed row. A bitmask of
-/// the bytes that transition back to this same state additionally powers
-/// the skip loop in [`LazyDfa::longest_match_pinned`].
+/// byte row**: a `256`-entry table indexed directly by the text's raw
+/// byte, so an ASCII step is one array load instead of a hash-map probe.
+/// The row is a dense *cache of the map* — entry `0` means "not memoised
+/// yet", exactly the map's missing-key case — so laziness is preserved:
+/// unknown bytes still funnel into the subset-construction miss path,
+/// which republishes this state with a refreshed row. Only ASCII entries
+/// are filled; a byte `≥ 0x80` is part of a multi-byte character, which
+/// the map serves. A bitmask of the bytes that transition back to this
+/// same state additionally powers the skip loop in
+/// [`LazyDfa::longest_match_pinned`].
 #[derive(Debug)]
 struct SnapshotState {
-    /// Dense byte transitions for scalar values `< 256` (see
-    /// [`DENSE_UNKNOWN`] / [`DENSE_DEAD`]); characters `≥ U+0100` use the
+    /// Dense byte transitions, filled for ASCII bytes only (see
+    /// [`DENSE_UNKNOWN`] / [`DENSE_DEAD`]); non-ASCII characters use the
     /// `transitions` map.
     dense: Box<[u32; 256]>,
     /// Bitmask (4 × 64 bits) of the bytes whose dense transition loops
@@ -159,8 +166,8 @@ impl SnapshotState {
         let mut dense = Box::new([DENSE_UNKNOWN; 256]);
         let mut self_mask = [0u64; 4];
         for (&c, &target) in transitions {
-            let b = c as u32;
-            if b < 256 {
+            if c.is_ascii() {
+                let b = c as u32;
                 dense[b as usize] = match target {
                     None => DENSE_DEAD,
                     Some(next) => next as u32 + 2,
@@ -178,10 +185,10 @@ impl SnapshotState {
         }
     }
 
-    /// Whether byte `b` (scalar value `< 256`) self-transitions here.
+    /// Whether byte `b` self-transitions here (never for `b ≥ 0x80`).
     #[inline]
-    fn self_loops(&self, b: usize) -> bool {
-        self.self_mask[b >> 6] & (1u64 << (b & 63)) != 0
+    fn self_loops(&self, b: u8) -> bool {
+        self.self_mask[usize::from(b >> 6)] & (1u64 << (b & 63)) != 0
     }
 
     /// Modeled resident bytes of this published state: its `Arc`
@@ -581,41 +588,44 @@ impl LazyDfa {
         self.cache.read().unwrap().states[state].accept
     }
 
-    /// The longest prefix of `input` starting at `start` that matches a
-    /// token, with the token id — served from the caller's pinned
-    /// snapshot. Characters with scalar value `< 256` step through the
-    /// dense byte rows (one array load), with self-transition runs
-    /// (whitespace, identifier tails, literal bodies) swallowed by a
-    /// mask-test skip loop that re-derives `best` once per run instead of
-    /// once per character. Characters `≥ U+0100` and not-yet-dense entries
-    /// fall back to the lazy `char`-map path. Every step against
-    /// already-materialised entries is a plain read of immutable data: no
-    /// locks, no atomics (counters are tallied locally and flushed once on
-    /// return). A miss takes the writer, republishes and refreshes `pin`
-    /// in place, so the caller's next token starts from the enriched
-    /// snapshot.
+    /// The longest prefix of `input[start..]` that matches a token, as its
+    /// length in bytes with the token id — served from the caller's pinned
+    /// snapshot. `start` must be a char boundary of `input`. ASCII bytes
+    /// step through the dense byte rows (one array load), with
+    /// self-transition runs (whitespace, identifier tails, literal bodies)
+    /// swallowed by a mask-test skip loop that re-derives `best` once per
+    /// run instead of once per byte. A non-ASCII character, and an ASCII
+    /// byte whose dense entry is not filled yet, takes the lazy `char`-map
+    /// path. Every step against already-materialised entries is a plain
+    /// read of immutable data: no locks, no atomics (counters are tallied
+    /// locally and flushed once on return). A miss takes the writer,
+    /// republishes and refreshes `pin` in place, so the caller's next
+    /// token starts from the enriched snapshot.
     pub fn longest_match_pinned(
         &self,
         pin: &mut Arc<DfaSnapshot>,
-        input: &[char],
+        input: &str,
         start: usize,
     ) -> Option<(usize, TokenId)> {
         self.longest_match_pinned_examined(pin, input, start).0
     }
 
     /// [`LazyDfa::longest_match_pinned`] plus the *examined extent*: the
-    /// second component is one past the last character index the DFA read
-    /// while deciding this match — `input.len() + 1` when the match was
-    /// terminated by running out of input (an end-sensitive match: text
-    /// appended at the end can change it). Incremental re-lexing uses the
+    /// second component is one past the byte that stopped the scan —
+    /// `input.len() + 1` when the match was terminated by running out of
+    /// input (an end-sensitive match: text appended at the end can change
+    /// it). When a multi-byte character stops the scan, the extent covers
+    /// its first byte, so an edit at a char boundary that touches anything
+    /// the DFA read starts before the extent. Incremental re-lexing uses the
     /// extent to decide which earlier matches an edit can influence.
     pub fn longest_match_pinned_examined(
         &self,
         pin: &mut Arc<DfaSnapshot>,
-        input: &[char],
+        input: &str,
         start: usize,
     ) -> (Option<(usize, TokenId)>, usize) {
         let dense_enabled = !self.dense_disabled.load(Ordering::Relaxed);
+        let bytes = input.as_bytes();
         let mut state = 0usize;
         let mut hits = 0usize;
         let mut dense_bytes = 0usize;
@@ -625,57 +635,59 @@ impl LazyDfa {
             .first()
             .and_then(|s| s.accept)
             .map(|t| (0usize, t));
-        let mut len = 0usize;
-        while let Some(&c) = input.get(start + len) {
-            let b = c as u32;
+        let mut pos = start;
+        while let Some(&b) = bytes.get(pos) {
             let mut code = DENSE_UNKNOWN;
-            if dense_enabled && b < 256 {
+            if dense_enabled {
                 if let Some(entry) = pin.states.get(state) {
-                    if entry.self_loops(b as usize) {
+                    if entry.self_loops(b) {
                         // Skip loop: the state does not change across the
                         // run, so `best` needs one update at the end, not
-                        // one per character.
-                        let run_start = len;
-                        len += 1;
-                        while input
-                            .get(start + len)
-                            .is_some_and(|&c2| (c2 as u32) < 256 && entry.self_loops(c2 as usize))
-                        {
-                            len += 1;
+                        // one per byte.
+                        let run_start = pos;
+                        pos += 1;
+                        while bytes.get(pos).is_some_and(|&b2| entry.self_loops(b2)) {
+                            pos += 1;
                         }
-                        let run = len - run_start;
+                        let run = pos - run_start;
                         skip_bytes += run;
                         hits += run;
                         if let Some(t) = entry.accept {
-                            best = Some((len, t));
+                            best = Some((pos - start, t));
                         }
                         continue;
                     }
-                    code = entry.dense[b as usize];
+                    code = entry.dense[usize::from(b)];
                 }
             }
             if code >= 2 {
                 state = (code - 2) as usize;
-                len += 1;
+                pos += 1;
                 dense_bytes += 1;
                 hits += 1;
                 if let Some(t) = pin.states[state].accept {
-                    best = Some((len, t));
+                    best = Some((pos - start, t));
                 }
                 continue;
             }
             if code == DENSE_DEAD {
                 break;
             }
-            // DENSE_UNKNOWN: non-Latin-1, dense path disabled, or a
-            // genuinely unmaterialised byte — the lazy fallback resolves
-            // all three (and only the last one is a cache miss).
+            // DENSE_UNKNOWN: a non-ASCII character, the dense path
+            // disabled, or a genuinely unmaterialised byte — the lazy
+            // fallback resolves all three (and only the last one is a
+            // cache miss).
+            let c = if b.is_ascii() {
+                char::from(b)
+            } else {
+                input[pos..].chars().next().expect("a char starts at a scan position")
+            };
             match self.step_with_accept_pinned(pin, &mut hits, state, c) {
                 Some((next, accept)) => {
                     state = next;
-                    len += 1;
+                    pos += c.len_utf8();
                     if let Some(t) = accept {
-                        best = Some((len, t));
+                        best = Some((pos - start, t));
                     }
                 }
                 None => break,
@@ -690,17 +702,17 @@ impl LazyDfa {
         if skip_bytes > 0 {
             self.skip_loop_bytes.fetch_add(skip_bytes, Ordering::Relaxed);
         }
-        // At loop exit `len` indexes the character that killed the scan
-        // (dead transition) or equals the remaining input length (ran out
-        // of text), so `start + len + 1` uniformly covers everything read —
+        // At loop exit `pos` indexes the first byte of the character that
+        // killed the scan (dead transition) or equals the input length (ran
+        // out of text), so `pos + 1` uniformly covers everything read —
         // including the virtual end-of-input position.
-        (best, start + len + 1)
+        (best, pos + 1)
     }
 
-    /// The longest prefix of `input` starting at `start` that matches a
-    /// token, with the token id. Pins a fresh snapshot per call; see
-    /// [`LazyDfa::longest_match_pinned`] for the hot-loop form.
-    pub fn longest_match(&self, input: &[char], start: usize) -> Option<(usize, TokenId)> {
+    /// The longest prefix of `input[start..]` that matches a token, as its
+    /// length in bytes with the token id. Pins a fresh snapshot per call;
+    /// see [`LazyDfa::longest_match_pinned`] for the hot-loop form.
+    pub fn longest_match(&self, input: &str, start: usize) -> Option<(usize, TokenId)> {
         let mut pin = self.snapshot();
         self.longest_match_pinned(&mut pin, input, start)
     }
@@ -733,10 +745,9 @@ mod tests {
     fn matches_agree_with_the_nfa_reference() {
         let dfa = sample_dfa();
         for text in ["if", "iffy", "x1_y", "42", "007 agent", "+nope", ""] {
-            let input = chars(text);
             assert_eq!(
-                dfa.longest_match(&input, 0),
-                dfa.nfa().clone().longest_match(&input),
+                dfa.longest_match(text, 0),
+                dfa.nfa().clone().longest_match(&chars(text)),
                 "input `{text}`"
             );
         }
@@ -745,17 +756,17 @@ mod tests {
     #[test]
     fn states_and_transitions_materialise_on_demand() {
         let dfa = sample_dfa();
-        dfa.longest_match(&chars("abc"), 0);
+        dfa.longest_match("abc", 0);
         let after_ident = dfa.num_states();
         assert!(after_ident >= 2);
         let transitions_after_ident = dfa.stats().transitions;
         // Scanning digits needs new states/transitions...
-        dfa.longest_match(&chars("123"), 0);
+        dfa.longest_match("123", 0);
         assert!(dfa.num_states() > 0);
         assert!(dfa.stats().transitions > transitions_after_ident);
         // ...but re-scanning the same kind of text hits the cache.
         let misses = dfa.stats().cache_misses;
-        dfa.longest_match(&chars("abc"), 0);
+        dfa.longest_match("abc", 0);
         assert_eq!(dfa.stats().cache_misses, misses);
         assert!(dfa.stats().cache_hits > 0);
     }
@@ -763,16 +774,16 @@ mod tests {
     #[test]
     fn longest_match_respects_start_offset() {
         let dfa = sample_dfa();
-        let input = chars("xy 42");
-        assert_eq!(dfa.longest_match(&input, 3), Some((2, 2)));
-        assert_eq!(dfa.longest_match(&input, 2), None); // space matches nothing
+        let input = "xy 42";
+        assert_eq!(dfa.longest_match(input, 3), Some((2, 2)));
+        assert_eq!(dfa.longest_match(input, 2), None); // space matches nothing
     }
 
     #[test]
     fn keyword_beats_identifier_on_equal_length() {
         let dfa = sample_dfa();
-        assert_eq!(dfa.longest_match(&chars("if("), 0), Some((2, 0)));
-        assert_eq!(dfa.longest_match(&chars("ifx"), 0), Some((3, 1)));
+        assert_eq!(dfa.longest_match("if(", 0), Some((2, 0)));
+        assert_eq!(dfa.longest_match("ifx", 0), Some((3, 1)));
     }
 
     #[test]
@@ -782,22 +793,22 @@ mod tests {
         assert_eq!(pin.num_states(), 1);
         // Someone else expands the DFA; the pin is now stale but still
         // answers (its entries can only be missing, never wrong).
-        dfa.longest_match(&chars("4281"), 0);
+        dfa.longest_match("4281", 0);
         assert!(dfa.num_states() > pin.num_states());
         // A miss through the pin materialises, republishes and refreshes.
-        assert_eq!(dfa.longest_match_pinned(&mut pin, &chars("abc"), 0), Some((3, 1)));
+        assert_eq!(dfa.longest_match_pinned(&mut pin, "abc", 0), Some((3, 1)));
         assert_eq!(pin.num_states(), dfa.num_states());
         // Steady state: the refreshed pin serves without further misses.
         let misses = dfa.stats().cache_misses;
-        assert_eq!(dfa.longest_match_pinned(&mut pin, &chars("abc"), 0), Some((3, 1)));
+        assert_eq!(dfa.longest_match_pinned(&mut pin, "abc", 0), Some((3, 1)));
         assert_eq!(dfa.stats().cache_misses, misses);
     }
 
     #[test]
     fn add_token_carries_over_all_but_the_start_state() {
         let mut dfa = sample_dfa();
-        dfa.longest_match(&chars("abc"), 0);
-        dfa.longest_match(&chars("4281"), 0);
+        dfa.longest_match("abc", 0);
+        dfa.longest_match("4281", 0);
         let states_before = dfa.num_states();
         assert!(states_before > 2);
         let id = dfa.add_token(&Regex::literal("%"));
@@ -806,20 +817,19 @@ mod tests {
         assert_eq!(dfa.stats().invalidated, 1);
         // The new token scans, and the automaton still agrees with direct
         // NFA simulation everywhere.
-        assert_eq!(dfa.longest_match(&chars("%"), 0), Some((1, id)));
+        assert_eq!(dfa.longest_match("%", 0), Some((1, id)));
         for text in ["if", "iffy", "x1_y", "42", "a%b", "%%"] {
-            let input = chars(text);
             assert_eq!(
-                dfa.longest_match(&input, 0),
-                dfa.nfa().clone().longest_match(&input),
+                dfa.longest_match(text, 0),
+                dfa.nfa().clone().longest_match(&chars(text)),
                 "input `{text}`"
             );
         }
         // Re-scanning previously materialised text re-derives only the
         // steps out of the start state, not the whole path.
         let misses_before = dfa.stats().cache_misses;
-        dfa.longest_match(&chars("abc"), 0);
-        dfa.longest_match(&chars("abc"), 0);
+        dfa.longest_match("abc", 0);
+        dfa.longest_match("abc", 0);
         let new_misses = dfa.stats().cache_misses - misses_before;
         assert!(new_misses <= 1, "only the start step was re-derived, got {new_misses}");
     }
@@ -835,8 +845,8 @@ mod tests {
     #[test]
     fn remove_token_invalidates_only_intersecting_states() {
         let mut dfa = sample_dfa();
-        dfa.longest_match(&chars("abc"), 0); // identifier path
-        dfa.longest_match(&chars("4281"), 0); // number path
+        dfa.longest_match("abc", 0); // identifier path
+        dfa.longest_match("4281", 0); // number path
         let states_before = dfa.num_states();
         // Remove the number token (id 2).
         assert!(dfa.remove_token(2));
@@ -845,12 +855,11 @@ mod tests {
         assert!(dfa.stats().carried_over < states_before);
         // Numbers no longer scan; identifiers and keywords still agree
         // with the (updated) NFA reference.
-        assert_eq!(dfa.longest_match(&chars("42"), 0), None);
+        assert_eq!(dfa.longest_match("42", 0), None);
         for text in ["if", "iffy", "x1_y", "a42"] {
-            let input = chars(text);
             assert_eq!(
-                dfa.longest_match(&input, 0),
-                dfa.nfa().clone().longest_match(&input),
+                dfa.longest_match(text, 0),
+                dfa.nfa().clone().longest_match(&chars(text)),
                 "input `{text}`"
             );
         }
@@ -860,12 +869,12 @@ mod tests {
     #[test]
     fn rescans_run_on_dense_rows_and_the_skip_loop() {
         let dfa = sample_dfa();
-        let input = chars("abcdefgh 42");
-        dfa.longest_match(&input, 0); // materialise the identifier path
-        dfa.longest_match(&input, 9); // materialise the number path
+        let input = "abcdefgh 42";
+        dfa.longest_match(input, 0); // materialise the identifier path
+        dfa.longest_match(input, 9); // materialise the number path
         let before = dfa.stats();
         assert!(before.dense_rows_built > 0);
-        assert_eq!(dfa.longest_match(&input, 0), Some((8, 1)));
+        assert_eq!(dfa.longest_match(input, 0), Some((8, 1)));
         let after = dfa.stats();
         assert_eq!(after.cache_misses, before.cache_misses, "no new subset steps");
         assert!(
@@ -879,11 +888,10 @@ mod tests {
     fn disabling_dense_scanning_matches_the_dense_results() {
         let dfa = sample_dfa();
         for text in ["if", "iffy", "x1_y", "42", "007 agent"] {
-            let input = chars(text);
-            let dense = dfa.longest_match(&input, 0);
+            let dense = dfa.longest_match(text, 0);
             dfa.set_dense_scanning(false);
             let lazy_bytes = dfa.stats().dense_bytes;
-            assert_eq!(dfa.longest_match(&input, 0), dense, "input `{text}`");
+            assert_eq!(dfa.longest_match(text, 0), dense, "input `{text}`");
             assert_eq!(dfa.stats().dense_bytes, lazy_bytes, "lazy path counts no dense bytes");
             dfa.set_dense_scanning(true);
         }
@@ -893,10 +901,10 @@ mod tests {
     fn non_latin1_characters_use_the_lazy_fallback() {
         let mut dfa = sample_dfa();
         let id = dfa.add_token(&Regex::literal("λx"));
-        let input = chars("λx");
-        assert_eq!(dfa.longest_match(&input, 0), Some((2, id)));
+        let input = "λx";
+        assert_eq!(dfa.longest_match(input, 0), Some((input.len(), id)));
         let before = dfa.stats();
-        assert_eq!(dfa.longest_match(&input, 0), Some((2, id)));
+        assert_eq!(dfa.longest_match(input, 0), Some((input.len(), id)));
         let after = dfa.stats();
         assert_eq!(after.cache_misses, before.cache_misses, "memoised in the char map");
         assert!(after.cache_hits > before.cache_hits);
@@ -910,10 +918,9 @@ mod tests {
             for _ in 0..4 {
                 scope.spawn(|| {
                     for text in ["if", "iffy", "x1_y", "42", "agent 007"] {
-                        let input = chars(text);
                         assert_eq!(
-                            dfa.longest_match(&input, 0),
-                            dfa.nfa().clone().longest_match(&input),
+                            dfa.longest_match(text, 0),
+                            dfa.nfa().clone().longest_match(&chars(text)),
                             "input `{text}`"
                         );
                     }

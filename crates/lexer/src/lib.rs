@@ -40,5 +40,5 @@ pub use charclass::CharClass;
 pub use dfa::{DfaSnapshot, DfaStats, LazyDfa};
 pub use nfa::{Nfa, TokenId};
 pub use regex::Regex;
-pub use relex::{char_edit, CharEdit, MatchRec, RelexOutcome, MAX_TEXT_BYTES};
+pub use relex::{MatchRec, RelexOutcome, MAX_TEXT_BYTES};
 pub use scanner::{simple_scanner, RawMatch, ScanError, Scanner, Token, TokenDef, TokenStream};

@@ -8,8 +8,10 @@
 //! the record count changes exactly when the token count does, and a
 //! record starts where the previous record's token ended.
 //!
-//! Each record carries the DFA's *examined extent* — one past the last
-//! character the automaton read while deciding any of its matches (see
+//! Every position here is a byte offset into the UTF-8 text, the same
+//! coordinate the DFA scans in and edits arrive in, so an edit needs no
+//! conversion. Each record carries the DFA's *examined extent* — one past
+//! the last byte the automaton read while deciding any of its matches (see
 //! `LazyDfa::longest_match_pinned_examined`). An edit can only change
 //! records whose examined extent reaches it, so the damage start is found
 //! by binary search on the running maximum of the extents. Re-lexing runs
@@ -35,7 +37,7 @@ use std::sync::Arc;
 
 use crate::dfa::DfaSnapshot;
 use crate::nfa::TokenId;
-use crate::scanner::{ScanError, Scanner};
+use crate::scanner::{unexpected_character, ScanError, Scanner};
 
 /// The largest text, in bytes, the record functions accept. A record's
 /// examined extent can be one past the end of the text, and it must still
@@ -53,28 +55,28 @@ const NO_TOKEN: u32 = u32::MAX;
 pub struct MatchRec {
     /// The token's token-id slot, or `NO_TOKEN` for the final record.
     slot: u32,
-    /// Start of the record (its leading layout) in characters.
-    char_start: u32,
-    /// Start of the record in bytes.
-    byte_start: u32,
-    /// One past the last character index the DFA examined while deciding
-    /// this record's matches. The final record's decision depends on
-    /// running out of input, so its extent is `chars.len() + 1`: an append
-    /// at the end registers as damage.
+    /// Start of the record (its leading layout) in bytes.
+    start: u32,
+    /// One past the last byte the DFA examined while deciding this
+    /// record's matches. The final record's decision depends on running
+    /// out of input, so its extent is `text.len() + 1`: an append at the
+    /// end registers as damage.
     examined_end: u32,
     /// Running maximum of `examined_end` over all records up to and
     /// including this one. Monotone, so the first record an edit can
     /// influence is found by binary search.
     examined_max: u32,
-    /// Offset in characters from the record start to its last layout
-    /// match, where a re-scan may resume; 0 when there is no such match
-    /// past the start or the offsets do not fit 16 bits.
+    /// Offset in bytes from the record start to its last layout match,
+    /// where a re-scan may resume; 0 when there is no such match past the
+    /// start or the offsets do not fit 16 bits.
     tail_off: u16,
     /// The examined extent of the matches before the last layout match,
-    /// as an offset from the record start: a re-scan may resume at
+    /// as a byte offset from the record start: a re-scan may resume at
     /// `tail_off` when the edit starts at or after it.
     head_examined_off: u16,
 }
+
+const _: () = assert!(std::mem::size_of::<MatchRec>() <= 20);
 
 impl MatchRec {
     /// The token's token-id slot; `None` for the final record.
@@ -82,14 +84,9 @@ impl MatchRec {
         (self.slot != NO_TOKEN).then_some(self.slot as TokenId)
     }
 
-    /// Start of the record (its leading layout) in characters.
-    pub fn char_start(&self) -> usize {
-        self.char_start as usize
-    }
-
     /// Start of the record (its leading layout) in bytes.
-    pub fn byte_start(&self) -> usize {
-        self.byte_start as usize
+    pub fn start(&self) -> usize {
+        self.start as usize
     }
 }
 
@@ -102,26 +99,6 @@ fn pos32(pos: usize) -> u32 {
 /// Shifts a stored position by an edit's length change.
 fn shifted(pos: u32, delta: i64) -> u32 {
     pos32((i64::from(pos) + delta) as usize)
-}
-
-/// An edit in both coordinate systems: characters `[char_start..char_end)`
-/// (bytes `[byte_start..byte_end)`) of the old text were replaced by
-/// `repl_chars` characters (`repl_bytes` bytes). Build one with
-/// [`char_edit`] from a byte-range edit.
-#[derive(Clone, Copy, Debug)]
-pub struct CharEdit {
-    /// Start of the replaced range in characters (old text).
-    pub char_start: usize,
-    /// End of the replaced range in characters (old text).
-    pub char_end: usize,
-    /// Start of the replaced range in bytes (old text).
-    pub byte_start: usize,
-    /// End of the replaced range in bytes (old text).
-    pub byte_end: usize,
-    /// Length of the replacement in characters.
-    pub repl_chars: usize,
-    /// Length of the replacement in bytes.
-    pub repl_bytes: usize,
 }
 
 /// What one [`Scanner::relex_splice`] did. Record and token indices agree,
@@ -143,41 +120,6 @@ pub struct RelexOutcome {
     pub new_tokens: usize,
 }
 
-/// Converts a byte-range edit of `old_text` (replace `start..end` with
-/// `replacement`) into [`CharEdit`] coordinates, using `recs` (the records
-/// of `old_text`) to count characters from the nearest record start
-/// instead of from the start of the document.
-pub fn char_edit(
-    recs: &[MatchRec],
-    old_text: &str,
-    start: usize,
-    end: usize,
-    replacement: &str,
-) -> CharEdit {
-    let char_of = |byte: usize| -> usize {
-        let j = recs.partition_point(|r| r.byte_start() <= byte);
-        match j.checked_sub(1).and_then(|j| recs.get(j)) {
-            Some(r) => r.char_start() + old_text[r.byte_start()..byte].chars().count(),
-            None => old_text[..byte].chars().count(),
-        }
-    };
-    CharEdit {
-        char_start: char_of(start),
-        char_end: char_of(end),
-        byte_start: start,
-        byte_end: end,
-        repl_chars: replacement.chars().count(),
-        repl_bytes: replacement.len(),
-    }
-}
-
-/// A scanned record plus where it ends, in characters and bytes.
-struct Scanned {
-    rec: MatchRec,
-    char_end: usize,
-    byte_end: usize,
-}
-
 /// What one run of the DFA over (the rest of) a record found.
 struct Matched {
     /// The token's slot, or `NO_TOKEN` at the end of the text.
@@ -193,10 +135,9 @@ struct Matched {
 /// inside it whose preceding matches are known to be unchanged.
 #[derive(Clone, Copy)]
 struct ScanFrom {
-    char_pos: usize,
-    byte_pos: usize,
-    /// The examined extent of the matches before `char_pos` (the record
-    /// start itself when there are none).
+    pos: usize,
+    /// The examined extent of the matches before `pos` (the record start
+    /// itself when there are none).
     examined: usize,
 }
 
@@ -209,109 +150,98 @@ impl Scanner {
         self.dfa().snapshot()
     }
 
-    /// Scans all of `chars` into `recs` (cleared first) — the cold start
-    /// of a document session. On success `recs` holds one record per
-    /// token plus the final record. The text must be at most
-    /// [`MAX_TEXT_BYTES`] bytes long.
+    /// Scans all of `text` into `recs` (cleared first) — the cold start of
+    /// a document session. On success `recs` holds one record per token
+    /// plus the final record. The text must be at most [`MAX_TEXT_BYTES`]
+    /// bytes long.
     pub fn lex_records(
         &self,
         pin: &mut Arc<DfaSnapshot>,
-        chars: &[char],
+        text: &str,
         recs: &mut Vec<MatchRec>,
     ) -> Result<(), ScanError> {
         recs.clear();
-        let (mut char_pos, mut byte_pos, mut examined_max) = (0, 0, 0);
+        let (mut pos, mut examined_max) = (0, 0);
         loop {
-            let s = self.scan_record(pin, chars, char_pos, byte_pos, None, &mut examined_max)?;
-            recs.push(s.rec);
-            if s.rec.slot().is_none() {
+            let (rec, end) = self.scan_record(pin, text, pos, None, &mut examined_max)?;
+            recs.push(rec);
+            if rec.slot().is_none() {
                 return Ok(());
             }
-            (char_pos, byte_pos) = (s.char_end, s.byte_end);
+            pos = end;
         }
     }
 
-    /// Re-lexes the damaged region of an edited document. `chars` is the
-    /// *new* (already spliced) character sequence, `recs` the record list
-    /// of the old text, `edit` the splice that produced `chars`. On
-    /// success `recs` describes the new text exactly as
-    /// [`Scanner::lex_records`] would, with only the damaged region having
-    /// been re-scanned. The new text must be at most [`MAX_TEXT_BYTES`]
-    /// bytes long.
+    /// Re-lexes the damaged region of an edited document. `text` is the
+    /// *new* (already spliced) text, `recs` the record list of the old
+    /// text, and the edit replaced the old text's bytes `range` with
+    /// `repl_len` bytes. On success `recs` describes the new text exactly
+    /// as [`Scanner::lex_records`] would, with only the damaged region
+    /// having been re-scanned. The new text must be at most
+    /// [`MAX_TEXT_BYTES`] bytes long.
     ///
     /// On a scan error `recs` is left *unchanged* — it still describes the
-    /// old text and no longer matches `chars`; the caller must mark the
+    /// old text and no longer matches `text`; the caller must mark the
     /// session desynchronised and rebuild from scratch once the text scans
     /// again.
     pub fn relex_splice(
         &self,
         pin: &mut Arc<DfaSnapshot>,
         recs: &mut Vec<MatchRec>,
-        chars: &[char],
-        edit: CharEdit,
+        text: &str,
+        range: Range<usize>,
+        repl_len: usize,
     ) -> Result<RelexOutcome, ScanError> {
-        let delta_chars = edit.repl_chars as i64 - (edit.char_end - edit.char_start) as i64;
-        let delta_bytes = edit.repl_bytes as i64 - (edit.byte_end - edit.byte_start) as i64;
+        let delta = repl_len as i64 - range.len() as i64;
 
         // The first record whose examined extent reaches the edit. The
         // final record examined past the end of the old text, so there is
         // one; its start is at or before the edit (records tile, and the
         // previous record examined past its own end), so scanning starts
-        // in the unshifted prefix where old and new coordinates agree.
-        let j0 = recs.partition_point(|r| r.examined_max as usize <= edit.char_start);
+        // in the unshifted prefix where old and new positions agree.
+        let j0 = recs.partition_point(|r| r.examined_max as usize <= range.start);
         let first = recs[j0];
-        let (mut char_pos, mut byte_pos) = (first.char_start(), first.byte_start());
+        let mut pos = first.start();
         let mut examined_max = j0.checked_sub(1).map_or(0, |j| recs[j].examined_max);
         // Within that record, the matches before its last layout match are
         // unchanged when they examined nothing at or past the edit: the
         // first re-scan resumes at that match.
-        let head_examined = first.char_start() + usize::from(first.head_examined_off);
-        let mut resume = (first.tail_off > 0 && head_examined <= edit.char_start).then(|| {
-            let from = first.char_start() + usize::from(first.tail_off);
-            ScanFrom {
-                char_pos: from,
-                byte_pos: byte_pos + utf8_len(&chars[char_pos..from]),
-                examined: head_examined,
-            }
+        let head_examined = pos + usize::from(first.head_examined_off);
+        let mut resume = (first.tail_off > 0 && head_examined <= range.start).then(|| ScanFrom {
+            pos: pos + usize::from(first.tail_off),
+            examined: head_examined,
         });
 
-        // From this new-text position on, every character maps 1:1 onto
-        // the old suffix — the precondition for resynchronising.
-        let edit_new_end = edit.char_start + edit.repl_chars;
+        // From this new-text position on, every byte maps 1:1 onto the old
+        // suffix — the precondition for resynchronising.
+        let edit_new_end = range.start + repl_len;
         // Re-scanned records are staged past the old end of `recs`; a scan
         // error truncates them away again, leaving `recs` as it was.
         let old_len = recs.len();
         let resync = loop {
-            if char_pos >= edit_new_end {
-                let old_pos = (char_pos as i64 - delta_chars) as usize;
+            if pos >= edit_new_end {
+                let old_pos = (pos as i64 - delta) as usize;
                 let old_recs = &recs[j0..old_len];
-                if let Ok(rel) = old_recs.binary_search_by_key(&old_pos, MatchRec::char_start) {
+                if let Ok(rel) = old_recs.binary_search_by_key(&old_pos, MatchRec::start) {
                     // An old record starts exactly here and sees the same
                     // suffix (equal content, equal distance to the end):
                     // it and everything after it re-lex identically.
                     break Some(j0 + rel);
                 }
             }
-            let scan = self.scan_record(
-                pin,
-                chars,
-                char_pos,
-                byte_pos,
-                resume.take(),
-                &mut examined_max,
-            );
-            let s = match scan {
-                Ok(s) => s,
+            let scanned = self.scan_record(pin, text, pos, resume.take(), &mut examined_max);
+            let (rec, end) = match scanned {
+                Ok(scanned) => scanned,
                 Err(e) => {
                     recs.truncate(old_len);
                     return Err(e);
                 }
             };
-            recs.push(s.rec);
-            if s.rec.slot().is_none() {
+            recs.push(rec);
+            if rec.slot().is_none() {
                 break None;
             }
-            (char_pos, byte_pos) = (s.char_end, s.byte_end);
+            pos = end;
         };
 
         // Without a resynchronisation both the replaced range and the
@@ -326,19 +256,17 @@ impl Scanner {
             new_tokens: relexed - final_rescanned,
         };
         if let Some(jr) = resync {
-            let unshifted = delta_chars == 0 && delta_bytes == 0;
             let mut running_max = examined_max;
             for r in &mut recs[jr..old_len] {
                 // A same-length edit moves nothing: once the running
                 // examined maximum agrees with a record's, it agrees with
                 // every later one, so the rest of the suffix is already
                 // exact and the splice stays O(damage).
-                if unshifted && r.examined_max == running_max.max(r.examined_end) {
+                if delta == 0 && r.examined_max == running_max.max(r.examined_end) {
                     break;
                 }
-                r.char_start = shifted(r.char_start, delta_chars);
-                r.byte_start = shifted(r.byte_start, delta_bytes);
-                r.examined_end = shifted(r.examined_end, delta_chars);
+                r.start = shifted(r.start, delta);
+                r.examined_end = shifted(r.examined_end, delta);
                 running_max = running_max.max(r.examined_end);
                 r.examined_max = running_max;
             }
@@ -347,57 +275,48 @@ impl Scanner {
         Ok(out)
     }
 
-    /// Scans one record starting at `char_start`: layout matches up to
-    /// and including the next token, or up to the end of the text for the
-    /// final record. With `resume`, the scan starts at that match boundary
-    /// instead; if it then finds no layout match, the record's last layout
-    /// match lies before the resume point and the record is scanned again
-    /// from its start, so the record always equals a cold scan's.
+    /// Scans one record starting at `start` and returns it with the byte
+    /// offset where it ends: layout matches up to and including the next
+    /// token, or up to the end of the text for the final record. With
+    /// `resume`, the scan starts at that match boundary instead; if it
+    /// then finds no layout match, the record's last layout match lies
+    /// before the resume point and the record is scanned again from its
+    /// start, so the record always equals a cold scan's.
     fn scan_record(
         &self,
         pin: &mut Arc<DfaSnapshot>,
-        chars: &[char],
-        char_start: usize,
-        byte_start: usize,
+        text: &str,
+        start: usize,
         resume: Option<ScanFrom>,
         examined_max: &mut u32,
-    ) -> Result<Scanned, ScanError> {
-        let from_start = ScanFrom {
-            char_pos: char_start,
-            byte_pos: byte_start,
-            examined: char_start,
-        };
+    ) -> Result<(MatchRec, usize), ScanError> {
         let resumed = match resume {
-            Some(from) => Some(self.scan_matches(pin, chars, from)?).filter(|m| m.tail.is_some()),
+            Some(from) => Some(self.scan_matches(pin, text, from)?).filter(|m| m.tail.is_some()),
             None => None,
         };
         let Matched { slot, tail, end } = match resumed {
             Some(matched) => matched,
-            None => self.scan_matches(pin, chars, from_start)?,
+            None => self.scan_matches(pin, text, ScanFrom { pos: start, examined: start })?,
         };
         let (tail_off, head_examined_off) = tail
             .and_then(|(at, examined)| {
                 Some((
-                    u16::try_from(at - char_start).ok()?,
-                    u16::try_from(examined - char_start).ok()?,
+                    u16::try_from(at - start).ok()?,
+                    u16::try_from(examined - start).ok()?,
                 ))
             })
             .unwrap_or((0, 0));
         let examined_end = pos32(end.examined);
         *examined_max = (*examined_max).max(examined_end);
-        Ok(Scanned {
-            rec: MatchRec {
-                slot,
-                char_start: pos32(char_start),
-                byte_start: pos32(byte_start),
-                examined_end,
-                examined_max: *examined_max,
-                tail_off,
-                head_examined_off,
-            },
-            char_end: end.char_pos,
-            byte_end: end.byte_pos,
-        })
+        let rec = MatchRec {
+            slot,
+            start: pos32(start),
+            examined_end,
+            examined_max: *examined_max,
+            tail_off,
+            head_examined_off,
+        };
+        Ok((rec, end.pos))
     }
 
     /// Runs the DFA from `from` up to and including the next token (or to
@@ -405,22 +324,20 @@ impl Scanner {
     fn scan_matches(
         &self,
         pin: &mut Arc<DfaSnapshot>,
-        chars: &[char],
+        text: &str,
         from: ScanFrom,
     ) -> Result<Matched, ScanError> {
         let ScanFrom {
-            mut char_pos,
-            mut byte_pos,
+            mut pos,
             mut examined,
         } = from;
         let mut tail = None;
         loop {
-            if char_pos == chars.len() {
+            if pos == text.len() {
                 // The end of the record depends on running out of input.
                 let end = ScanFrom {
-                    char_pos,
-                    byte_pos,
-                    examined: chars.len() + 1,
+                    pos,
+                    examined: text.len() + 1,
                 };
                 return Ok(Matched {
                     slot: NO_TOKEN,
@@ -428,35 +345,22 @@ impl Scanner {
                     end,
                 });
             }
-            let (m, match_examined) = self
-                .dfa()
-                .longest_match_pinned_examined(pin, chars, char_pos);
-            let (char_len, slot) = match m {
+            let (m, match_examined) = self.dfa().longest_match_pinned_examined(pin, text, pos);
+            let (len, slot) = match m {
                 Some((len, slot)) if len > 0 => (len, slot),
-                _ => {
-                    return Err(ScanError::UnexpectedCharacter {
-                        offset: byte_pos,
-                        character: chars[char_pos],
-                    })
-                }
+                _ => return Err(unexpected_character(text, pos)),
             };
             let layout = self.slot(slot).is_some_and(|d| d.layout);
             if layout {
-                tail = Some((char_pos, examined));
+                tail = Some((pos, examined));
             }
             examined = examined.max(match_examined);
-            byte_pos += utf8_len(&chars[char_pos..char_pos + char_len]);
-            char_pos += char_len;
+            pos += len;
             if !layout {
-                let end = ScanFrom {
-                    char_pos,
-                    byte_pos,
-                    examined,
-                };
                 return Ok(Matched {
                     slot: pos32(slot),
                     tail,
-                    end,
+                    end: ScanFrom { pos, examined },
                 });
             }
         }
@@ -477,21 +381,15 @@ pub fn splice_staged<T: Copy>(v: &mut Vec<T>, range: Range<usize>, staged_from: 
     }
 }
 
-/// The UTF-8 length of `chars` in bytes.
-fn utf8_len(chars: &[char]) -> usize {
-    chars.iter().map(|c| c.len_utf8()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scanner::simple_scanner;
 
     fn records(scanner: &Scanner, text: &str) -> Vec<MatchRec> {
-        let chars: Vec<char> = text.chars().collect();
         let mut pin = scanner.dfa_snapshot();
         let mut recs = Vec::new();
-        scanner.lex_records(&mut pin, &chars, &mut recs).unwrap();
+        scanner.lex_records(&mut pin, text, &mut recs).unwrap();
         recs
     }
 
@@ -506,13 +404,11 @@ mod tests {
         repl: &str,
     ) -> (RelexOutcome, usize) {
         let mut recs = records(scanner, text);
-        let edit = char_edit(&recs, text, start, end, repl);
         let mut new_text = text.to_owned();
         new_text.replace_range(start..end, repl);
-        let chars: Vec<char> = new_text.chars().collect();
         let mut pin = scanner.dfa_snapshot();
         let out = scanner
-            .relex_splice(&mut pin, &mut recs, &chars, edit)
+            .relex_splice(&mut pin, &mut recs, &new_text, start..end, repl.len())
             .unwrap();
         assert_eq!(
             recs,
@@ -540,9 +436,9 @@ mod tests {
                 slots[last], None,
                 "`{text}`: the final record holds no token"
             );
-            assert_eq!(recs[0].char_start(), 0);
+            assert_eq!(recs[0].start(), 0);
         }
-        assert_eq!(std::mem::size_of::<MatchRec>(), 24);
+        assert_eq!(std::mem::size_of::<MatchRec>(), 20);
     }
 
     #[test]
@@ -625,7 +521,7 @@ mod tests {
         // resumes at `\n   `, after the comment.
         let text = "x -- c\n   y z";
         let recs = records(&s, text);
-        assert_eq!((recs[1].char_start(), recs[1].tail_off), (1, 5));
+        assert_eq!((recs[1].start(), recs[1].tail_off), (1, 5));
         assert_eq!(
             recs[1].head_examined_off, 6,
             "the comment examined the newline"
@@ -675,7 +571,7 @@ mod tests {
     fn unicode_edit_keeps_byte_offsets_consistent() {
         // Multibyte characters live in the comment (the identifier class
         // is ASCII); edits before, inside and after them must keep the
-        // byte/char offset pairs in sync.
+        // byte offsets of the later records exact.
         let s = test_scanner();
         let text = "if abc then x -- äöü βeta\nelse 42";
         let comment = text.find("äöü").unwrap();
@@ -693,12 +589,10 @@ mod tests {
         let text = "if alpha then";
         let mut recs = records(&s, text);
         let before = recs.clone();
-        let edit = char_edit(&recs, text, 3, 3, "%");
         let mut new_text = text.to_owned();
         new_text.replace_range(3..3, "%");
-        let chars: Vec<char> = new_text.chars().collect();
         let mut pin = s.dfa_snapshot();
-        let err = s.relex_splice(&mut pin, &mut recs, &chars, edit);
+        let err = s.relex_splice(&mut pin, &mut recs, &new_text, 3..3, 1);
         assert!(matches!(
             err,
             Err(ScanError::UnexpectedCharacter {
@@ -734,13 +628,11 @@ mod tests {
             let (start, end) = (a.min(b), a.max(b).min(a.min(b) + 6));
             let end = *boundaries.iter().rev().find(|&&i| i <= end).unwrap();
             let repl: String = (0..next(3)).map(|_| pieces[next(pieces.len())]).collect();
-            let edit = char_edit(&recs, &text, start, end, &repl);
             let mut new_text = text.clone();
             new_text.replace_range(start..end, &repl);
-            let chars: Vec<char> = new_text.chars().collect();
             let before = recs.clone();
             let mut pin = s.dfa_snapshot();
-            match s.relex_splice(&mut pin, &mut recs, &chars, edit) {
+            match s.relex_splice(&mut pin, &mut recs, &new_text, start..end, repl.len()) {
                 Ok(_) => {
                     assert_eq!(
                         recs,

@@ -253,48 +253,40 @@ impl Scanner {
 
     /// Scans `input` into tokens, skipping layout. Takes `&self`: threads
     /// may scan concurrently against one scanner. The call pins one
-    /// immutable DFA snapshot up front and serves every per-character step
-    /// from it — the hot loop is lock-free; only cache misses (first-time
+    /// immutable DFA snapshot up front and serves every step from it — the
+    /// hot loop is lock-free; only cache misses (first-time
     /// subset-construction steps) take the DFA's writer and refresh the
-    /// pin. Byte offsets are tracked incrementally, so no per-call offset
-    /// table is built. Allocates the `Token` structs it returns; streaming
-    /// consumers use [`Scanner::stream`] and never materialise tokens.
+    /// pin. Allocates the `Token` structs it returns; streaming consumers
+    /// use [`Scanner::stream`] and never materialise tokens.
     pub fn tokenize(&self, input: &str) -> Result<Vec<Token>, ScanError> {
-        let mut buf = Vec::new();
-        let mut stream = self.stream(input, &mut buf);
+        let mut stream = self.stream(input);
         let mut tokens = Vec::new();
-        let mut byte = 0usize;
         while let Some(m) = stream.next_match()? {
-            let matched = &stream.chars[m.start..m.start + m.len];
-            let width: usize = matched.iter().map(|c| c.len_utf8()).sum();
             if !m.layout {
                 let def = self.slots[m.slot]
                     .as_ref()
                     .expect("an accepting token is an active slot");
+                let end = m.start + m.len;
                 tokens.push(Token {
                     name: def.name.clone(),
-                    text: matched.iter().collect(),
-                    start: byte,
-                    end: byte + width,
+                    text: input[m.start..end].to_owned(),
+                    start: m.start,
+                    end,
                 });
             }
-            byte += width;
         }
         Ok(tokens)
     }
 
-    /// Opens a streaming tokenizer over `input` using `buf` as the
-    /// reusable character buffer (cleared and refilled; a recycled buffer
-    /// makes the scan allocation-free). The stream pins one immutable DFA
-    /// snapshot and yields token-id *slots* instead of materialised
-    /// [`Token`]s — the form the fused lexer→parser path consumes.
-    pub fn stream<'a>(&'a self, input: &str, buf: &'a mut Vec<char>) -> TokenStream<'a> {
-        buf.clear();
-        buf.extend(input.chars());
+    /// Opens a streaming tokenizer over the bytes of `input`, in place and
+    /// without allocating. The stream pins one immutable DFA snapshot and
+    /// yields token-id *slots* instead of materialised [`Token`]s — the
+    /// form the fused lexer→parser path consumes.
+    pub fn stream<'a>(&'a self, input: &'a str) -> TokenStream<'a> {
         TokenStream {
             scanner: self,
             pin: self.dfa.snapshot(),
-            chars: buf,
+            input,
             pos: 0,
         }
     }
@@ -373,14 +365,14 @@ impl Scanner {
     }
 }
 
-/// One raw scanner match: a token-id slot plus its span in characters.
+/// One raw scanner match: a token-id slot plus its span in bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RawMatch {
     /// The matching token-id slot (resolve with [`Scanner::slot`]).
     pub slot: TokenId,
-    /// Character index of the first matched character.
+    /// Byte offset of the first matched character.
     pub start: usize,
-    /// Number of matched characters.
+    /// Length of the match in bytes.
     pub len: usize,
     /// Whether the matching definition is layout (skipped by
     /// [`TokenStream::next_slot`]).
@@ -391,29 +383,29 @@ pub struct RawMatch {
 /// lexer→parser fusion.
 ///
 /// Yields token-id slots one match at a time instead of materialising a
-/// token vector — no `Token` structs, no name/text strings, no offset
-/// table. Every per-character step against already-materialised DFA
-/// entries is a plain read of immutable data; a miss funnels into the
-/// DFA's writer and refreshes the pin in place. Byte offsets are only
-/// computed on the error path.
+/// token vector — no `Token` structs, no name/text strings, no copy of the
+/// text: the stream walks the input's UTF-8 bytes in place, and every
+/// position it reports is a byte offset. Every step against
+/// already-materialised DFA entries is a plain read of immutable data; a
+/// miss funnels into the DFA's writer and refreshes the pin in place.
 #[derive(Debug)]
 pub struct TokenStream<'a> {
     scanner: &'a Scanner,
     pin: Arc<DfaSnapshot>,
-    chars: &'a [char],
+    input: &'a str,
     pos: usize,
 }
 
 impl TokenStream<'_> {
     /// The next raw match, layout included. `Ok(None)` at end of input.
     pub fn next_match(&mut self) -> Result<Option<RawMatch>, ScanError> {
-        if self.pos >= self.chars.len() {
+        if self.pos >= self.input.len() {
             return Ok(None);
         }
         match self
             .scanner
             .dfa
-            .longest_match_pinned(&mut self.pin, self.chars, self.pos)
+            .longest_match_pinned(&mut self.pin, self.input, self.pos)
         {
             Some((len, slot)) if len > 0 => {
                 let start = self.pos;
@@ -429,11 +421,7 @@ impl TokenStream<'_> {
                     layout,
                 }))
             }
-            _ => Err(ScanError::UnexpectedCharacter {
-                // Cold path: the byte offset is derived only when needed.
-                offset: self.chars[..self.pos].iter().map(|c| c.len_utf8()).sum(),
-                character: self.chars[self.pos],
-            }),
+            _ => Err(unexpected_character(self.input, self.pos)),
         }
     }
 
@@ -447,9 +435,18 @@ impl TokenStream<'_> {
         Ok(None)
     }
 
-    /// Characters consumed so far.
+    /// Bytes consumed so far.
     pub fn position(&self) -> usize {
         self.pos
+    }
+}
+
+/// The error for a scan that matched nothing at byte offset `pos` of
+/// `input`.
+pub(crate) fn unexpected_character(input: &str, pos: usize) -> ScanError {
+    ScanError::UnexpectedCharacter {
+        offset: pos,
+        character: input[pos..].chars().next().expect("a scan error lies inside the text"),
     }
 }
 
@@ -639,26 +636,23 @@ mod tests {
         let scanner = simple_scanner(&["if", ":="]);
         let input = "if x1 := 42 -- note\nif";
         let tokens = scanner.tokenize(input).unwrap();
-        let mut buf = Vec::new();
-        let mut stream = scanner.stream(input, &mut buf);
+        let mut stream = scanner.stream(input);
         let mut streamed = Vec::new();
         while let Some(slot) = stream.next_slot().unwrap() {
             streamed.push(scanner.slot(slot).unwrap().name.clone());
         }
         let names: Vec<String> = tokens.iter().map(|t| t.name.clone()).collect();
         assert_eq!(streamed, names);
-        assert_eq!(stream.position(), input.chars().count());
-        // The char buffer is reusable: a second scan allocates into the
-        // same capacity.
-        let mut stream = scanner.stream("if if", &mut buf);
+        assert_eq!(stream.position(), input.len());
+        // A second stream over another text scans it from its start.
+        let mut stream = scanner.stream("if if");
         assert!(stream.next_slot().unwrap().is_some());
     }
 
     #[test]
     fn streaming_reports_scan_errors_with_byte_offsets() {
         let scanner = simple_scanner(&[]);
-        let mut buf = Vec::new();
-        let mut stream = scanner.stream("ab $", &mut buf);
+        let mut stream = scanner.stream("ab $");
         assert!(stream.next_slot().is_ok());
         assert_eq!(
             stream.next_slot().unwrap_err(),

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 /// Keyword pool the random token sets draw from: ASCII operators and
 /// words, multi-byte UTF-8 keywords, and keywords spanning the 0xFF/0x100
-/// boundary (`ÿ` has a dense row slot, `Ā` does not).
+/// boundary (both `ÿ` and `Ā` are multi-byte, served by the `char` map).
 const KEYWORD_POOL: &[&str] = &[
     "if", "then", "else", ":=", "(", ")", "==", "=", "<", "<<", "λ", "λx", "déjà", "→", "ÿ", "ÿĀ",
     "end",

@@ -24,6 +24,7 @@
 //! handful locally.
 
 use std::net::TcpStream;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -33,7 +34,7 @@ use ipg::{IpgServer, IpgSession};
 use ipg_frontend::{Client, Frontend, FrontendConfig, ShutdownMode};
 use ipg_frontend::protocol::{write_request, Status, Verb};
 use ipg_grammar::fixtures;
-use ipg_lexer::simple_scanner;
+use ipg_lexer::{simple_scanner, ScanError};
 use proptest::prelude::*;
 
 mod common;
@@ -160,8 +161,20 @@ fn check_edit(
     edit: &EditSpec,
 ) -> Result<bool, TestCaseError> {
     let (start, end, repl) = edit.resolve(text);
-    let incremental = server.apply_edit(id, start..end, &repl);
-    text.replace_range(start..end, &repl);
+    check_splice(server, id, text, start..end, &repl)
+}
+
+/// [`check_edit`] for a concrete splice: replace bytes `range` (on char
+/// boundaries) of the document by `repl`.
+fn check_splice(
+    server: &IpgServer,
+    id: u64,
+    text: &mut String,
+    range: Range<usize>,
+    repl: &str,
+) -> Result<bool, TestCaseError> {
+    let incremental = server.apply_edit(id, range.clone(), repl);
+    text.replace_range(range, repl);
     prop_assert_eq!(
         &server.document_text(id).unwrap(),
         text,
@@ -456,6 +469,124 @@ proptest! {
         let merged = server.stats().merged();
         prop_assert_eq!(merged.reparse_full, 0, "layout edits never rebuild");
         prop_assert_eq!(merged.states_rerun, 0, "layout edits never re-run the GSS");
+        server.close_document(id).unwrap();
+    }
+}
+
+/// Multi-byte characters: `λ` and `é` take two UTF-8 bytes, `→` and `❄`
+/// three. The identifier class is ASCII, so only comments may hold them;
+/// anywhere else they make the text unlexable.
+const WIDE_CHARS: [&str; 4] = ["λ", "é", "→", "❄"];
+
+/// Replacement pieces of a wide edit: the multi-byte characters, a token,
+/// whitespace, and the two halves of a comment.
+const WIDE_PIECES: [&str; 8] = ["λ", "é", "→", "❄", "a", " ", "\n", "--"];
+
+/// A document of one-letter terminals, each followed by a space or by a
+/// `--` comment of multi-byte characters.
+fn wide_document(doc: &[(usize, Vec<usize>)]) -> String {
+    let mut text = String::new();
+    for (token, wide) in doc {
+        text.push_str(TERMINAL_NAMES[*token]);
+        if wide.is_empty() {
+            text.push(' ');
+        } else {
+            text.push_str(" --");
+            text.extend(wide.iter().map(|&c| WIDE_CHARS[c]));
+            text.push('\n');
+        }
+    }
+    text
+}
+
+/// One edit in characters: delete `del` characters from the `at`-th char
+/// boundary (modulo their count) and insert the `repl` pieces.
+#[derive(Clone, Debug)]
+struct WideEdit {
+    at: usize,
+    del: usize,
+    repl: Vec<usize>,
+}
+
+impl WideEdit {
+    /// The byte splice of `text` this edit names; both ends are char
+    /// boundaries.
+    fn resolve(&self, text: &str) -> (Range<usize>, String) {
+        let boundaries: Vec<usize> = text
+            .char_indices()
+            .map(|(i, _)| i)
+            .chain([text.len()])
+            .collect();
+        let first = self.at % boundaries.len();
+        let last = (first + self.del).min(boundaries.len() - 1);
+        let repl = self.repl.iter().map(|&p| WIDE_PIECES[p]).collect();
+        (boundaries[first]..boundaries[last], repl)
+    }
+}
+
+fn wide_edit_strategy() -> impl Strategy<Value = WideEdit> {
+    (
+        0..10_000usize,
+        0..4usize,
+        prop::collection::vec(0..WIDE_PIECES.len(), 0..=3),
+    )
+        .prop_map(|(at, del, repl)| WideEdit { at, del, repl })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// Edit scripts over documents whose comments hold multi-byte
+    /// characters: inserts, deletes and replacements of those characters
+    /// at char boundaries. Every edit digest-matches a cold parse of the
+    /// spliced text, and the re-lexer, run beside the session on the same
+    /// splices, yields exactly the records of a cold `lex_records` (or,
+    /// when the edited text does not lex, the same scan error, which names
+    /// the offending character at its byte offset).
+    #[test]
+    fn multibyte_edit_scripts_match_cold_reparses_and_records(
+        spec in grammar_spec(true),
+        doc in prop::collection::vec(
+            (0..3usize, prop::collection::vec(0..WIDE_CHARS.len(), 0..=3)),
+            0..=12,
+        ),
+        edits in prop::collection::vec(wide_edit_strategy(), 1..=10),
+    ) {
+        let server = spec_server(&spec);
+        let mut text = wide_document(&doc);
+        let id = server.open_document(&text).expect("initial document lexes");
+        let scanner = simple_scanner(&TERMINAL_NAMES[..3]);
+        let mut pin = scanner.dfa_snapshot();
+        let mut recs = Vec::new();
+        scanner.lex_records(&mut pin, &text, &mut recs).expect("initial document lexes");
+        let mut synced = true;
+        let mut parsed_edits = 0usize;
+        for edit in &edits {
+            let (range, repl) = edit.resolve(&text);
+            if check_splice(&server, id, &mut text, range.clone(), &repl)? {
+                parsed_edits += 1;
+            }
+            prop_assert_eq!(server.document_info(id).unwrap().bytes, text.len());
+
+            let mut cold = Vec::new();
+            let cold_lex = scanner.lex_records(&mut scanner.dfa_snapshot(), &text, &mut cold);
+            if let Err(ScanError::UnexpectedCharacter { offset, character }) = &cold_lex {
+                prop_assert_eq!(text[*offset..].chars().next(), Some(*character));
+            }
+            if synced {
+                let relexed = scanner.relex_splice(&mut pin, &mut recs, &text, range, repl.len());
+                prop_assert_eq!(relexed.err(), cold_lex.clone().err(), "on {:?}", text);
+                if cold_lex.is_ok() {
+                    prop_assert_eq!(&recs, &cold, "re-lexed records of {:?}", text);
+                }
+            }
+            synced = cold_lex.is_ok();
+            if synced {
+                recs = cold;
+            }
+        }
+        let merged = server.stats().merged();
+        prop_assert_eq!(merged.reparse_incremental + merged.reparse_full, parsed_edits);
         server.close_document(id).unwrap();
     }
 }

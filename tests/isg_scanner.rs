@@ -43,6 +43,38 @@ fn input_strategy() -> impl Strategy<Value = String> {
     .prop_map(|parts| parts.concat())
 }
 
+/// Token regexes over a mixed alphabet: a negated class (`~[\n]*`, which
+/// matches multi-byte characters), multi-byte literals, a class of Greek
+/// letters, and ASCII identifiers and numbers.
+fn wide_regex_pool() -> Vec<(&'static str, Regex)> {
+    let not_newline = || Regex::class(CharClass::single('\n').negate());
+    vec![
+        ("line", not_newline().star()),
+        ("comment", Regex::concat([Regex::literal("--"), not_newline().star()])),
+        ("lambda_x", Regex::literal("λx")),
+        ("arrow", Regex::literal("→")),
+        ("greek", Regex::class(CharClass::range('α', 'ω')).plus()),
+        ("ident", Regex::concat([
+            Regex::class(CharClass::ident_start()),
+            Regex::class(CharClass::ident_continue()).star(),
+        ])),
+        ("number", Regex::class(CharClass::digit()).plus()),
+    ]
+}
+
+/// Pieces of the wide inputs: ASCII with two-, three- and four-byte
+/// characters, some of which no definition in the wide pool but `~[\n]*`
+/// covers. `Ã` is U+00C3, the lead byte of `é` in UTF-8: a scalar value
+/// must never be confused with a byte.
+const WIDE_PIECES: [&str; 15] = [
+    "λ", "λx", "x", "→", "❄", "é", "Ã", "αβ", "ω", "𝛑", "42", "--", "-", " ", "\n",
+];
+
+fn wide_input_strategy() -> impl Strategy<Value = String> {
+    proptest::collection::vec((0..WIDE_PIECES.len()).prop_map(|i| WIDE_PIECES[i]), 0..12)
+        .prop_map(|parts| parts.concat())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -63,7 +95,7 @@ proptest! {
         let chars: Vec<char> = input.chars().collect();
         for start in 0..=chars.len() {
             let reference = nfa.longest_match(&chars[start..]);
-            let lazy = dfa.longest_match(&chars, start);
+            let lazy = dfa.longest_match(&input, start);
             prop_assert_eq!(lazy, reference, "offset {} of {:?}", start, input);
         }
     }
@@ -130,5 +162,95 @@ proptest! {
             }
             Err(other) => return Err(TestCaseError::fail(format!("unexpected error {other:?}"))),
         }
+    }
+
+    /// On text mixing ASCII and multi-byte characters, the DFA scans the
+    /// UTF-8 bytes: at every char boundary its match, converted to a char
+    /// count, equals the char-level NFA's, on the dense path and on the
+    /// `char`-map path alike. A scanner over the same definitions reports
+    /// an unmatched character by its byte offset and the whole `char`.
+    #[test]
+    fn byte_dfa_agrees_with_char_nfa_on_multibyte_input(
+        input in wide_input_strategy(),
+        subset in proptest::collection::vec(any::<bool>(), 7),
+    ) {
+        let chosen: Vec<(&str, Regex)> = wide_regex_pool()
+            .into_iter()
+            .zip(&subset)
+            .filter(|(_, &keep)| keep)
+            .map(|(def, _)| def)
+            .collect();
+        prop_assume!(!chosen.is_empty());
+        let regexes: Vec<Regex> = chosen.iter().map(|(_, r)| r.clone()).collect();
+        let nfa = Nfa::build(&regexes);
+        let dfa = LazyDfa::new(Nfa::build(&regexes));
+        let chars: Vec<char> = input.chars().collect();
+        let boundaries = input.char_indices().map(|(i, _)| i).chain([input.len()]);
+        for (k, start) in boundaries.enumerate() {
+            let reference = nfa.longest_match(&chars[k..]);
+            for dense in [true, false] {
+                dfa.set_dense_scanning(dense);
+                let lazy = dfa
+                    .longest_match(&input, start)
+                    .map(|(len, t)| (input[start..start + len].chars().count(), t));
+                prop_assert_eq!(lazy, reference, "byte {} of {:?} (dense {})", start, input, dense);
+            }
+        }
+
+        let defs = chosen.iter().map(|(name, r)| TokenDef::new(name, r.clone())).collect();
+        let scanner = Scanner::new(defs);
+        // The oracle tokenization: NFA longest matches, char by char.
+        let mut k = 0;
+        let mut expected = Vec::new();
+        let oracle_error = loop {
+            if k == chars.len() {
+                break None;
+            }
+            match nfa.longest_match(&chars[k..]) {
+                Some((len, _)) if len > 0 => {
+                    expected.push(chars[k..k + len].iter().collect::<String>());
+                    k += len;
+                }
+                _ => break Some((chars[..k].iter().map(|c| c.len_utf8()).sum::<usize>(), chars[k])),
+            }
+        };
+        match scanner.tokenize(&input) {
+            Ok(tokens) => {
+                prop_assert_eq!(oracle_error, None);
+                let texts: Vec<String> = tokens.iter().map(|t| t.text.clone()).collect();
+                prop_assert_eq!(texts, expected);
+                for t in &tokens {
+                    prop_assert_eq!(&input[t.start..t.end], t.text.as_str());
+                }
+            }
+            Err(ipg_lexer::ScanError::UnexpectedCharacter { offset, character }) => {
+                prop_assert_eq!(Some((offset, character)), oracle_error);
+            }
+            Err(other) => return Err(TestCaseError::fail(format!("unexpected error {other:?}"))),
+        }
+    }
+}
+
+/// A multi-byte character no definition matches is reported with its
+/// byte offset and as the whole `char`, by `tokenize`, by the streaming
+/// tokenizer and by the document re-lexer.
+#[test]
+fn scan_errors_name_multibyte_characters_at_byte_offsets() {
+    let scanner = simple_scanner(&[]);
+    let cases = [("ab ❄", 3, '❄'), ("λ", 0, 'λ'), ("x -- é\n é", 9, 'é'), ("1 𝛑", 2, '𝛑')];
+    for (input, offset, character) in cases {
+        let expected = ipg_lexer::ScanError::UnexpectedCharacter { offset, character };
+        assert_eq!(scanner.tokenize(input), Err(expected.clone()), "{input:?}");
+        let mut stream = scanner.stream(input);
+        let streamed = loop {
+            match stream.next_slot() {
+                Ok(Some(_)) => continue,
+                other => break other,
+            }
+        };
+        assert_eq!(streamed, Err(expected.clone()), "{input:?}");
+        let mut recs = Vec::new();
+        let lexed = scanner.lex_records(&mut scanner.dfa_snapshot(), input, &mut recs);
+        assert_eq!(lexed, Err(expected), "{input:?}");
     }
 }
