@@ -8,11 +8,13 @@
 //! two end-to-end *text* scenarios over the same inputs: `warm-text`
 //! (fused scan→parse through the pooled request contexts) against
 //! `warm-text-split` (tokenize to a vector, then parse), which is where
-//! the lexer→parser fusion win is measured.
+//! the lexer→parser fusion win is measured. `scanner-cold` times the
+//! re-lazified scanner's first scan of `ASF.sdf` against a warm scan: the
+//! lazy DFA's share of time to first parse.
 //!
-//! The fused/split and dense/lazy ratio gates compare the fastest of
-//! several interleaved single-thread rounds of each side, timed back to
-//! back on one warm server, not the separately measured table rows.
+//! The fused/split, dense/lazy and scanner cold/warm ratio gates compare
+//! the fastest of several interleaved single-thread rounds of each side,
+//! timed back to back, not the separately measured table rows.
 //!
 //! Every process allocation is counted by a wrapping global allocator, so
 //! each row also reports **allocations per request**; the run fails (exit
@@ -33,6 +35,7 @@ use std::time::{Duration, Instant};
 use ipg::{GenStats, IpgServer, IpgSession};
 use ipg_bench::{mean_max_us, wide_synthetic_workload, SdfWorkload};
 use ipg_grammar::Grammar;
+use ipg_lexer::Scanner;
 
 /// A pass-through allocator that counts every allocation, so the bench can
 /// report per-request allocation counts and gate the warm fused path on
@@ -263,9 +266,10 @@ fn run_warm_text_split(workload: &SdfWorkload, threads: usize, repeats: usize) -
 }
 
 /// The dense-scanner ablation: the identical fused text path with the
-/// byte-table fast path switched off, so every character goes through the
-/// lazy `char`-map lookup. The `warm-text` / `warm-text-lazy` ratio is the
-/// measured dense-scanner win, taken in-run on the same host.
+/// byte-class table and skip loop switched off, so every character is
+/// decoded and finds its alphabet class by binary search. The `warm-text` /
+/// `warm-text-lazy` ratio is the measured dense-scanner win, taken in-run
+/// on the same host.
 fn run_warm_text_lazy(workload: &SdfWorkload, threads: usize, repeats: usize) -> Row {
     workload.scanner.set_dense_scanning(false);
     let row = run_text_scenario(workload, "warm-text-lazy", threads, repeats, parse_fused);
@@ -314,6 +318,54 @@ fn interleaved_text_ratios(workload: &SdfWorkload, repeats: usize) -> TextRatioT
         scanner.set_dense_scanning(true);
     }
     best
+}
+
+/// Rounds of the cold-scanner measurement.
+const SCANNER_COLD_ROUNDS: usize = 21;
+
+/// Times one scan of `text` on the fused slot stream, as the text path
+/// drives it.
+fn scan_slots(scanner: &Scanner, text: &str) -> f64 {
+    let start = Instant::now();
+    let mut stream = scanner.stream(text);
+    while stream.next_slot().expect("the input scans").is_some() {}
+    start.elapsed().as_secs_f64()
+}
+
+/// The scanner's share of time to first parse: each round re-lazifies the
+/// SDF scanner (untimed), times its first scan of `ASF.sdf` on the fused
+/// slot stream, then times a scan of the same text on a warm scanner. Each
+/// side keeps its fastest round. Returns the cold row (its allocations are
+/// the lazy DFA's own) and the best warm scan in seconds.
+fn run_scanner_cold(workload: &SdfWorkload) -> (Row, f64) {
+    let asf = workload
+        .inputs
+        .iter()
+        .find(|input| input.name == "ASF.sdf")
+        .expect("ASF.sdf is a Fig. 7 input");
+    let warm = workload.scanner.relazified();
+    scan_slots(&warm, asf.text);
+    let (mut cold_s, mut warm_s) = (f64::INFINITY, f64::INFINITY);
+    let mut allocs = 0;
+    for _ in 0..SCANNER_COLD_ROUNDS {
+        let cold = workload.scanner.relazified();
+        let allocs_before = allocations();
+        cold_s = cold_s.min(scan_slots(&cold, asf.text));
+        allocs += allocations() - allocs_before;
+        warm_s = warm_s.min(scan_slots(&warm, asf.text));
+    }
+    let row = Row {
+        scenario: "scanner-cold",
+        threads: 1,
+        requests: 1,
+        tokens: asf.tokens.len(),
+        elapsed_s: cold_s,
+        modifications: 0,
+        edit_mean_us: 0.0,
+        edit_max_us: 0.0,
+        allocs_per_request: allocs as f64 / SCANNER_COLD_ROUNDS as f64,
+    };
+    (row, warm_s)
 }
 
 /// Cold start of the wide 5000-production synthetic grammar: time
@@ -522,6 +574,9 @@ fn main() {
     for &threads in &thread_counts {
         rows.push(run_cold(&workload, threads, repeats));
     }
+    let (scanner_cold, scanner_warm_s) = run_scanner_cold(&workload);
+    let scanner_cold_s = scanner_cold.elapsed_s;
+    rows.push(scanner_cold);
     // Cold start of the wide synthetic grammar: bulk expansion with the
     // parallel warm fan-out at 1/2/4 threads.
     let wide = wide_synthetic_workload(5000);
@@ -600,10 +655,17 @@ fn main() {
     );
     let scanner_dense_speedup = ratio_times.lazy / ratio_times.fused;
     println!(
-        "dense byte-table scanner (1 thread, best of {RATIO_ROUNDS} interleaved rounds): dense \
-         {:.2} ms vs lazy char-map {:.2} ms ({scanner_dense_speedup:.2}x)",
+        "dense byte-class scanner (1 thread, best of {RATIO_ROUNDS} interleaved rounds): dense \
+         {:.2} ms vs decoded chars {:.2} ms ({scanner_dense_speedup:.2}x)",
         ratio_times.fused * 1e3,
         ratio_times.lazy * 1e3,
+    );
+    let scanner_cold_to_warm_ratio = scanner_cold_s / scanner_warm_s;
+    println!(
+        "scanner time to first scan (ASF.sdf, re-lazified, best of {SCANNER_COLD_ROUNDS} \
+         interleaved rounds): cold {:.1} µs vs warm {:.1} µs ({scanner_cold_to_warm_ratio:.2}x)",
+        scanner_cold_s * 1e6,
+        scanner_warm_s * 1e6,
     );
     let cold_start_s = |threads: usize| row_of("cold-start", threads).elapsed_s;
     let cold_start_speedup_4 = cold_start_s(1) / cold_start_s(4);
@@ -729,6 +791,8 @@ fn main() {
          \"warm_text_fused_speedup\": {fusion_speedup:.3},\n  \
          \"warm_text_allocs_per_request\": {:.2},\n  \
          \"scanner_dense_speedup\": {scanner_dense_speedup:.3},\n  \
+         \"scanner_cold_first_scan_us\": {:.1},\n  \"scanner_warm_scan_us\": {:.1},\n  \
+         \"scanner_cold_to_warm_ratio\": {scanner_cold_to_warm_ratio:.3},\n  \
          \"cold_start_1_thread_s\": {:.3},\n  \
          \"cold_start_speedup_4_threads\": {cold_start_speedup_4:.3},\n  \
          \"resident_bytes\": {},\n  \"resident_high_water\": {},\n  \
@@ -736,6 +800,8 @@ fn main() {
         warm4,
         speedup("warm", 8),
         fused.allocs_per_request,
+        scanner_cold_s * 1e6,
+        scanner_warm_s * 1e6,
         cold_start_s(1),
         scanner_counters.resident_bytes,
         scanner_counters.resident_high_water,
@@ -771,14 +837,27 @@ fn main() {
         );
         failed = true;
     }
-    // The dense byte-table scanner must not lose to the lazy char-map path
-    // it replaced — an in-run, same-host ratio, so it holds everywhere.
+    // The byte-class table and skip loop must not lose to decoding every
+    // character — an in-run, same-host ratio, so it holds everywhere.
     if scanner_dense_speedup < 1.0 {
         eprintln!(
-            "FAIL: dense scanner ({:.2} ms) is slower than the lazy char-map path ({:.2} ms), \
+            "FAIL: dense scanner ({:.2} ms) is slower than decoding every character ({:.2} ms), \
              best of {RATIO_ROUNDS} interleaved rounds",
             ratio_times.fused * 1e3,
             ratio_times.lazy * 1e3
+        );
+        failed = true;
+    }
+    // A miss must cost one subset-construction step and nothing else: the
+    // re-lazified first scan may cost at most 2.5x a warm one. An in-run,
+    // same-host ratio, so it holds everywhere.
+    if scanner_cold_to_warm_ratio > 2.5 {
+        eprintln!(
+            "FAIL: the re-lazified first scan of ASF.sdf ({:.1} µs) costs \
+             {scanner_cold_to_warm_ratio:.2}x a warm scan ({:.1} µs), above 2.5x, best of \
+             {SCANNER_COLD_ROUNDS} interleaved rounds",
+            scanner_cold_s * 1e6,
+            scanner_warm_s * 1e6
         );
         failed = true;
     }

@@ -35,7 +35,7 @@
 //! | grammar rule arena       | yes (cheap, persistent)          | no — it is the source of truth | — |
 //! | item-set node chunks     | yes, chunk-granular              | yes        | lazy `EXPAND` on first `ACTION`/`GOTO` miss |
 //! | published snapshot rows  | yes, chunk-granular              | yes        | row build + publish on next complete state |
-//! | DFA snapshot states      | yes, per state                   | yes        | lazy subset construction on next scan |
+//! | DFA row chunks           | yes, chunk-granular              | yes        | lazy subset construction on next scan |
 //! | chunks shared by dialects| counted **once** (pointer-keyed) | yes (each fork re-lazifies independently) | per-tenant lazy expansion |
 //! | retired pinned epochs    | held by their readers            | reclaimed by the deferred sweep, not the registry | — |
 //!

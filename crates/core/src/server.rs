@@ -48,8 +48,8 @@
 //!   reader has left: it runs when a parse releases a stale pin and on the
 //!   next publication, never while anyone can still query the storage.
 //!   Reclamation is **chunk-granular**: dropping a retired epoch frees
-//!   exactly the storage chunks (item sets, dense rows, DFA snapshot
-//!   states) that no live epoch still shares — the chunks the epoch
+//!   exactly the storage chunks (item sets, dense rows, DFA row chunks)
+//!   that no live epoch still shares — the chunks the epoch
 //!   inherited from (or bequeathed to) its neighbours live on with them.
 //!
 //! ## The request path: checkout → parse → return
@@ -201,7 +201,7 @@
 //! ## Residency and re-lazification (multi-tenant serving)
 //!
 //! Everything an epoch holds resident is *derived* state — item-set
-//! chunks, published ACTION/GOTO rows, materialised DFA snapshot states —
+//! chunks, published ACTION/GOTO rows, materialised DFA row chunks —
 //! rebuildable on demand from the cheap persistent grammar by the lazy
 //! expander. That makes eviction safe by construction:
 //! [`IpgServer::relazify`] publishes a **cold epoch** (same grammar, fresh
@@ -1231,7 +1231,7 @@ impl IpgServer {
     /// is reclaimed by the deferred sweep once the last reader leaves.
     ///
     /// Returns the number of chunks evicted (node chunks, snapshot chunks
-    /// and DFA snapshot states the warm epoch held beyond the cold one).
+    /// and DFA row chunks the warm epoch held beyond the cold one).
     pub fn relazify(&self) -> usize {
         let mut writer = self.writer.lock().unwrap();
         let cur = self.acquire();

@@ -230,11 +230,10 @@ pub struct GenStats {
     /// callers and benches can see configured vs actual parallelism; the
     /// network frontend records its worker-pool size.
     pub effective_workers: usize,
-    /// Dense scanner byte rows built while publishing DFA snapshot states
-    /// (mirrors the scanner's `DfaStats::dense_rows_built`; zero for
-    /// servers without a scanner).
+    /// Scanner DFA state rows initialised (mirrors the scanner's
+    /// `DfaStats::dense_rows_built`; zero for servers without a scanner).
     pub dense_rows_built: usize,
-    /// Characters scanned through the dense byte-row fast path (mirrors
+    /// ASCII bytes scanned through the byte-class table (mirrors
     /// `DfaStats::dense_bytes`).
     pub dense_bytes: usize,
     /// Characters swallowed by the scanner's self-transition skip loop
@@ -267,7 +266,7 @@ pub struct GenStats {
     pub reparse_converged: usize,
     /// **Gauge** (max-merged, not summed): modeled resident bytes of the
     /// derived parser state — node chunks, published snapshot chunks,
-    /// grammar rule arena and DFA snapshot states — sampled from the
+    /// grammar rule arena and DFA row chunks — sampled from the
     /// per-chunk accounting at stats time. A registry overwrites this
     /// with its cross-tenant *deduplicated* total (shared chunks counted
     /// once).
@@ -276,8 +275,8 @@ pub struct GenStats {
     /// observed at any sampling point (every stats read, and every
     /// registry budget-enforcement pass).
     pub resident_high_water: usize,
-    /// Chunks of derived state (node chunks, snapshot chunks, DFA
-    /// snapshot states) discarded by registry eviction / re-lazification.
+    /// Chunks of derived state (node chunks, snapshot chunks, DFA row
+    /// chunks) discarded by registry eviction / re-lazification.
     pub chunks_evicted: usize,
     /// Chunks rebuilt on demand by the lazy expander after the tenant
     /// holding them was evicted and then retouched.

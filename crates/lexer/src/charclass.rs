@@ -177,6 +177,153 @@ impl CharClass {
     }
 }
 
+/// A partition of all characters into *alphabet classes*: two characters
+/// share a class exactly when every character class the partition was
+/// refined by contains both or neither. An automaton whose transitions are
+/// labelled with those character classes treats all characters of one
+/// alphabet class alike, so it can memoise one transition per class.
+///
+/// Refinement only ever splits classes. A split class keeps its number for
+/// one part and the other part gets the next free number, so a table
+/// indexed by class stays valid across a refinement once each split
+/// class's entry is copied to its new part (see [`Alphabet::refine`]).
+#[derive(Clone, Debug)]
+pub(crate) struct Alphabet {
+    /// First scalar value of each maximal run of characters in one class,
+    /// ascending from 0.
+    starts: Vec<u32>,
+    /// The class of each run.
+    run_class: Vec<u32>,
+    /// Number of runs of each class.
+    class_runs: Vec<u32>,
+    /// The class of each ASCII byte.
+    ascii: [u32; 128],
+    classes: usize,
+}
+
+impl Alphabet {
+    /// The partition with a single class.
+    pub(crate) fn new() -> Self {
+        Alphabet {
+            starts: vec![0],
+            run_class: vec![0],
+            class_runs: vec![1],
+            ascii: [0; 128],
+            classes: 1,
+        }
+    }
+
+    /// Number of classes.
+    pub(crate) fn len(&self) -> usize {
+        self.classes
+    }
+
+    /// Number of maximal runs of characters in one class.
+    pub(crate) fn runs(&self) -> usize {
+        self.starts.len()
+    }
+
+    /// The class of an ASCII byte (`b < 0x80`).
+    #[inline]
+    pub(crate) fn ascii_class(&self, b: u8) -> usize {
+        self.ascii[usize::from(b)] as usize
+    }
+
+    /// The class of any character, by binary search over the run starts.
+    #[inline]
+    pub(crate) fn class_of(&self, c: char) -> usize {
+        let run = self.starts.partition_point(|&s| s <= u32::from(c)) - 1;
+        self.run_class[run] as usize
+    }
+
+    /// The ASCII bytes in `class`.
+    pub(crate) fn ascii_bytes(&self, class: usize) -> impl Iterator<Item = u8> + '_ {
+        (0..128u8).filter(move |&b| self.ascii_class(b) == class)
+    }
+
+    /// Refines the partition by `sets` and returns each split as
+    /// `(parent, child)`: the characters of class `parent` inside the set
+    /// that split it moved to the new class `child`. Splits are listed in
+    /// the order they happened, so copying entry `parent` to entry `child`
+    /// pair by pair refines a table indexed by the old classes.
+    pub(crate) fn refine<'a>(
+        &mut self,
+        sets: impl IntoIterator<Item = &'a CharClass>,
+    ) -> Vec<(usize, usize)> {
+        let mut splits = Vec::new();
+        // Runs of each class inside the set at hand (zeroed after each set).
+        let mut inside = Vec::new();
+        for set in sets {
+            self.refine_by(set, &mut inside, &mut splits);
+        }
+        for (run, &start) in self.starts.iter().enumerate().take_while(|&(_, &s)| s < 128) {
+            let end = self.starts.get(run + 1).map_or(128, |&e| e.min(128));
+            self.ascii[start as usize..end as usize].fill(self.run_class[run]);
+        }
+        splits
+    }
+
+    /// Splits every class with runs both inside and outside `set`. A set
+    /// and its complement split alike, so negation plays no part: the runs
+    /// inside the set's ranges move to the new classes.
+    fn refine_by(&mut self, set: &CharClass, inside: &mut Vec<u32>, splits: &mut Vec<(usize, usize)>) {
+        for &(lo, hi) in set.ranges() {
+            self.cut(u32::from(lo));
+            self.cut(u32::from(hi) + 1);
+        }
+        let runs_of = |starts: &[u32], (lo, hi): (char, char)| {
+            starts.partition_point(|&s| s < u32::from(lo))..starts.partition_point(|&s| s <= u32::from(hi))
+        };
+        inside.resize(self.classes, 0);
+        for &range in set.ranges() {
+            for run in runs_of(&self.starts, range) {
+                inside[self.run_class[run] as usize] += 1;
+            }
+        }
+        for &range in set.ranges() {
+            for run in runs_of(&self.starts, range) {
+                let k = self.run_class[run] as usize;
+                if inside[k] == 0 {
+                    continue; // already split off: `run_class` holds the child
+                }
+                if inside[k] < self.class_runs[k] {
+                    // Class `k` has runs outside the set: split off the
+                    // inside ones as a new class.
+                    splits.push((k, self.classes));
+                    self.class_runs[k] -= inside[k];
+                    self.class_runs.push(inside[k]);
+                    inside.push(0);
+                    let child = self.classes as u32;
+                    self.classes += 1;
+                    for range in set.ranges() {
+                        for run in runs_of(&self.starts, *range) {
+                            if self.run_class[run] as usize == k {
+                                self.run_class[run] = child;
+                            }
+                        }
+                    }
+                }
+                inside[k] = 0;
+            }
+        }
+    }
+
+    /// Starts a new run at scalar value `at` (in the class of the run it
+    /// splits), unless one starts there already.
+    fn cut(&mut self, at: u32) {
+        if at > u32::from(char::MAX) {
+            return;
+        }
+        let run = self.starts.partition_point(|&s| s <= at);
+        if self.starts[run - 1] != at {
+            let class = self.run_class[run - 1];
+            self.starts.insert(run, at);
+            self.run_class.insert(run, class);
+            self.class_runs[class as usize] += 1;
+        }
+    }
+}
+
 fn unescape(c: char) -> char {
     match c {
         'n' => '\n',
@@ -290,6 +437,46 @@ mod tests {
         let reparsed = CharClass::parse(&printed).unwrap();
         assert_eq!(c, reparsed);
         assert!(CharClass::parse("~[\\n]").unwrap().to_string().starts_with('~'));
+    }
+
+    #[test]
+    fn alphabet_classes_partition_by_membership() {
+        let letters = CharClass::range('a', 'z');
+        let idents = CharClass::from_ranges([('a', 'z'), ('A', 'Z')]);
+        let not_newline = CharClass::single('\n').negate();
+        let mut alphabet = Alphabet::new();
+        alphabet.refine([&letters, &idents, &not_newline, &CharClass::single('λ')]);
+        // `[a-z]`, `[A-Z]`, `\n`, `λ` and everything else.
+        assert_eq!(alphabet.len(), 5);
+        let class = |c| alphabet.class_of(c);
+        assert_eq!(class('a'), class('q'));
+        assert_ne!(class('a'), class('Q'));
+        assert_eq!(class('%'), class('❄'), "outside every set, ASCII or not");
+        assert_ne!(class('λ'), class('❄'));
+        assert_ne!(class('\n'), class('%'));
+        for b in 0..128u8 {
+            assert_eq!(alphabet.ascii_class(b), class(char::from(b)), "byte {b}");
+        }
+        assert_eq!(alphabet.ascii_bytes(class('a')).count(), 26);
+    }
+
+    #[test]
+    fn alphabet_refinement_splits_off_new_classes() {
+        let mut alphabet = Alphabet::new();
+        alphabet.refine([&CharClass::range('a', 'z')]);
+        let letters = alphabet.class_of('a');
+        // A keyword inside `[a-z]` splits `i` and `f` off the letters, one
+        // new class each; refining by the same sets again splits nothing.
+        let splits = alphabet.refine([&CharClass::single('i'), &CharClass::single('f')]);
+        assert_eq!(splits, [(letters, 2), (letters, 3)]);
+        assert_eq!((alphabet.class_of('i'), alphabet.class_of('f')), (2, 3));
+        assert_eq!(alphabet.class_of('g'), letters);
+        assert!(alphabet.refine([&CharClass::single('i'), &CharClass::range('a', 'z')]).is_empty());
+        // A negated set splits like its complement.
+        let splits = alphabet.refine([&CharClass::single('g').negate()]);
+        assert_eq!(splits, [(letters, 4)]);
+        assert_eq!(alphabet.class_of('g'), 4);
+        assert_eq!(alphabet.len(), 5);
     }
 
     #[test]

@@ -6,58 +6,67 @@
 //! (sets of NFA states) and their transitions are created the first time
 //! the scanner needs them and memoised for later use. Scanning text that
 //! exercises only part of the lexical syntax therefore only ever builds
-//! that part of the DFA — and after a change to the token definitions, the
-//! DFA cache is simply discarded while the (cheap) NFA is rebuilt, so new
-//! DFA states again appear by need.
+//! that part of the DFA — and after a change to the token definitions only
+//! the states the change affects are re-derived, again by need.
 //!
-//! ## Shared scanning
+//! ## Alphabet classes
 //!
-//! Like the item-set graph, the lazy DFA follows the read/expand split:
-//! [`LazyDfa::step`] and [`LazyDfa::longest_match`] take `&self`, so any
-//! number of threads can scan against one DFA at the same time — and like
-//! the parser's `ACTION`/`GOTO`, the hot path is served from **pinned
-//! snapshots**: the writer publishes an immutable [`DfaSnapshot`]
-//! (`Arc`-shared) whenever it materialises a state or transition, a
-//! scanner pins one snapshot per `tokenize` call, and every step is served
-//! from immutable data with no locks or atomics at all. Only a miss (one
-//! subset-construction step) takes the writer's lock, republishes, and
-//! refreshes the pin.
+//! Transitions are memoised per *alphabet class*, not per character. The
+//! classes partition all characters by the NFA's character classes: two
+//! characters of one alphabet class lead every NFA state to the same
+//! successors, so one subset-construction step fills the transition for
+//! the whole class, as RE2's lazy DFA memoises per byte class (Cox,
+//! *Regular Expression Matching in the Wild*, 2010). An ASCII byte finds
+//! its class in a 128-entry table; any other character by binary search
+//! over the partition's boundaries.
+//!
+//! ## Write-once rows
+//!
+//! Each DFA state owns a row of `AtomicU32` cells: its accept token, a
+//! mask of the ASCII bytes whose transition loops back to the state, and
+//! one transition entry per alphabet class. Rows live in chunks that never
+//! move (eight rows each), and an entry only ever goes from
+//! "unknown" to its final value. A miss takes the writer lock, runs one
+//! subset-construction step, appends the target state if it is new (its
+//! row initialised and its accept token set) and then stores the entry
+//! with `Release`. Readers load entries with `Acquire` — a plain load on
+//! x86 — so a scan needs nothing but the **chunk directory**, the
+//! [`DfaSnapshot`] it pins once; the directory is republished only when a
+//! miss appends a chunk. Any number of threads scan one DFA through
+//! [`LazyDfa::longest_match_pinned`] (`&self`) without taking a lock
+//! between misses.
 //!
 //! ## Scanning UTF-8 in place
 //!
 //! A scan walks the bytes of the `&str` it is given, and every position it
 //! takes or returns — match lengths, examined extents — is a byte offset
-//! into that text. Each published snapshot state carries two views of the
-//! same memoised transitions:
+//! into that text. An ASCII byte steps through the byte-class table and
+//! one row entry. Runs of bytes whose transition loops back to the current
+//! state (whitespace, identifier tails, literal bodies) are swallowed by a
+//! **skip loop** over the state's mask, with the longest-match candidate
+//! updated once per run instead of once per byte. At a non-ASCII lead byte
+//! the scanner decodes that one `char`, finds its class by the partition
+//! search and advances by its UTF-8 width. The
+//! [`LazyDfa::set_dense_scanning`] ablation bypasses the byte table and the
+//! skip loop: every `char` is decoded and goes through the search.
 //!
-//! * **Dense byte rows** — a `state × 256` table indexed by the raw byte,
-//!   so ASCII source text is a single array load per byte. Only ASCII
-//!   entries are ever filled: a byte `≥ 0x80` always reads "unknown". A
-//!   bitmask of the bytes that transition a state back to itself
-//!   additionally powers a memchr-style **skip loop**: whitespace,
-//!   identifier tails and literal bodies are swallowed as whole runs, with
-//!   the longest-match candidate updated once per run instead of once per
-//!   byte.
-//! * **The lazy `char` map** — the path for non-ASCII characters and for
-//!   any ASCII byte whose transition has not been materialised yet (a
-//!   dense entry of "unknown" means exactly "absent from the map"). At a
-//!   non-ASCII lead byte the scanner decodes that one `char`, steps it
-//!   through the map and advances by its UTF-8 width.
+//! ## Definition changes
 //!
-//! The dense rows are a *cache of the cache*: they are derived from the
-//! memoised map whenever a snapshot state is (re)published, so laziness is
-//! untouched — unknown entries still funnel into the one-step
-//! subset-construction writer, which republishes the touched state with a
-//! refreshed row. Definition changes keep the selective carry-over: states
-//! whose published view survives an edit keep their dense rows verbatim
-//! (they share the same per-state `Arc`), and only invalidated states are
-//! re-derived — and re-densified — by need.
+//! [`LazyDfa::add_token`] and [`LazyDfa::remove_token`] carry the
+//! unaffected states over (the ISG analogue of the parser's §6
+//! invalidation). An added token refines the partition; a carried-over row
+//! copies its entry for a split class to the new part, which is exact
+//! because carried states are disjoint from the new fragment. Both changes
+//! take `&mut self`, so no scan is running: they copy the rows into fresh
+//! chunks. A pin taken before a change still reads the automaton as it
+//! was and must not be used with the changed one.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, RwLock};
 
-use crate::nfa::{Nfa, TokenId};
+use crate::charclass::{Alphabet, CharClass};
+use crate::nfa::{Nfa, NfaScratch, NfaState, TokenId};
 use crate::regex::Regex;
 
 /// Work counters of a lazy DFA; the interesting quantity is how few states
@@ -67,7 +76,8 @@ use crate::regex::Regex;
 pub struct DfaStats {
     /// DFA states materialised so far.
     pub states: usize,
-    /// Distinct `(state, character)` transitions memoised so far.
+    /// `(state, alphabet class)` transitions memoised so far; each one
+    /// took one miss.
     pub transitions: usize,
     /// Transition-cache hits during scanning.
     pub cache_hits: usize,
@@ -81,12 +91,11 @@ pub struct DfaStats {
     /// (their NFA sets intersected a changed fragment, or they were the
     /// start state, whose closure every definition change affects).
     pub invalidated: usize,
-    /// Dense `state × 256` byte rows built while publishing snapshot
-    /// states (one per snapshot-state construction; carried-over states
-    /// keep their row and are not recounted).
+    /// State rows initialised: one per materialised state and one per
+    /// start state a definition change reset. Carried-over rows are copied
+    /// and not recounted.
     pub dense_rows_built: usize,
-    /// Bytes consumed through the dense byte-row fast path (single
-    /// array-indexed steps).
+    /// ASCII bytes stepped through the byte-class table.
     pub dense_bytes: usize,
     /// Bytes consumed by the self-transition skip loop (whitespace /
     /// identifier / literal runs swallowed without per-byte state
@@ -94,14 +103,21 @@ pub struct DfaStats {
     pub skip_loop_bytes: usize,
 }
 
+/// Scan counters tallied by one scan — a token stream, a `tokenize` call
+/// or a re-lex — without touching shared memory, and added to the DFA's
+/// counters once when it ends ([`LazyDfa::flush`]).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ScanTally {
+    hits: usize,
+    dense_bytes: usize,
+    skip_loop_bytes: usize,
+}
+
 #[derive(Clone, Debug)]
 struct LazyDfaState {
-    /// The NFA states this DFA state represents (sorted).
-    nfa_states: Vec<usize>,
-    /// Memoised transitions, per character actually encountered.
-    transitions: HashMap<char, Option<usize>>,
-    /// Highest-priority token accepted in this state.
-    accept: Option<TokenId>,
+    /// The NFA states this DFA state represents (sorted), shared with the
+    /// interning index.
+    nfa_states: Arc<[usize]>,
     /// `true` once a definition change invalidated this state. Dead slots
     /// are never stepped into again (transitions of carried-over states
     /// cannot target them — see [`LazyDfa::remove_token`]); they linger as
@@ -109,172 +125,232 @@ struct LazyDfaState {
     dead: bool,
 }
 
-/// The lock-guarded, lazily materialised part of the DFA.
+/// The writer's part of the DFA, behind its lock.
 #[derive(Clone, Debug)]
 struct DfaCache {
     states: Vec<LazyDfaState>,
-    index: HashMap<Vec<usize>, usize>,
+    index: HashMap<Arc<[usize]>, usize>,
     /// Counters updated under the write lock (misses, states,
-    /// transitions); cache hits are counted in the atomic outside.
+    /// transitions); scan counters are added to the atomics outside.
     stats: DfaStats,
     /// Dead state slots (see `LazyDfaState::dead`).
     garbage: usize,
+    /// The successor set of the miss at hand and the NFA's working space,
+    /// kept so that a miss to an existing state allocates nothing.
+    next: Vec<usize>,
+    scratch: NfaScratch,
 }
 
-/// Dense byte-row encoding: `0` = not yet materialised (fall through to
-/// the miss path), `1` = the dead state, `n ≥ 2` = transition to DFA state
-/// `n - 2`.
-const DENSE_UNKNOWN: u32 = 0;
-const DENSE_DEAD: u32 = 1;
+/// Row cell holding the state's accept token plus one (0: none).
+const ACCEPT: usize = 0;
+/// First of the four row cells holding the 128-bit mask of the ASCII bytes
+/// whose transition loops back to the state.
+const MASK: usize = 1;
+/// Row cells before the transition entries; entry `k` is cell `HEADER + k`.
+const HEADER: usize = 5;
+/// Transition entry not memoised yet. Other entries are [`DEAD`] or the
+/// target state plus 2.
+const UNKNOWN: u32 = 0;
+/// Transition entry into the dead state.
+const DEAD: u32 = 1;
+/// Rows per chunk, as a power of two. Small chunks keep a cold DFA small
+/// and make finding a row a shift and a mask; a miss that appends one
+/// copies the directory's `Arc`s, one per eight states.
+const CHUNK_BITS: u32 = 3;
 
-/// The published read-view of one DFA state: its memoised transitions and
-/// accept token, immutable and `Arc`-shared between the cache and any
-/// number of pinned snapshots.
-///
-/// Alongside the `char`-keyed map, every snapshot state carries a **dense
-/// byte row**: a `256`-entry table indexed directly by the text's raw
-/// byte, so an ASCII step is one array load instead of a hash-map probe.
-/// The row is a dense *cache of the map* — entry `0` means "not memoised
-/// yet", exactly the map's missing-key case — so laziness is preserved:
-/// unknown bytes still funnel into the subset-construction miss path,
-/// which republishes this state with a refreshed row. Only ASCII entries
-/// are filled; a byte `≥ 0x80` is part of a multi-byte character, which
-/// the map serves. A bitmask of the bytes that transition back to this
-/// same state additionally powers the skip loop in
-/// [`LazyDfa::longest_match_pinned`].
+/// The chunk holding `state`'s row and the row's index within it.
+#[inline]
+fn locate(state: usize) -> (usize, usize) {
+    (state >> CHUNK_BITS, state & ((1 << CHUNK_BITS) - 1))
+}
+
+/// The accept token stored in a row.
+#[inline]
+fn accept_of(row: &[AtomicU32]) -> Option<TokenId> {
+    match row[ACCEPT].load(Ordering::Relaxed) {
+        0 => None,
+        t => Some(t as TokenId - 1),
+    }
+}
+
+/// Whether byte `b`'s transition loops back to the row's state (never for
+/// `b ≥ 0x80`). A mask bit is set after its entry is stored, so a reader
+/// that sees it may skip the entry.
+#[inline]
+fn loops_on(row: &[AtomicU32], b: u8) -> bool {
+    b < 0x80 && row[MASK + usize::from(b >> 5)].load(Ordering::Relaxed) & (1 << (b & 31)) != 0
+}
+
+/// The chunk directory of a DFA: the alphabet partition and every chunk of
+/// state rows. A scanner pins one `Arc<DfaSnapshot>` and serves every step
+/// from it without locking. Misses write their entries into the pinned
+/// chunks in place, so the pin only needs refreshing when a miss appends a
+/// chunk, and stepping into a state whose row lies past the pinned chunks
+/// does that.
 #[derive(Debug)]
-struct SnapshotState {
-    /// Dense byte transitions, filled for ASCII bytes only (see
-    /// [`DENSE_UNKNOWN`] / [`DENSE_DEAD`]); non-ASCII characters use the
-    /// `transitions` map.
-    dense: Box<[u32; 256]>,
-    /// Bitmask (4 × 64 bits) of the bytes whose dense transition loops
-    /// back to this state — the self-transition runs the skip loop eats.
-    self_mask: [u64; 4],
-    /// Memoised transitions (`None` = the dead state). A character absent
-    /// from the map has simply not been stepped on yet — a *miss*, not a
-    /// dead transition.
-    transitions: HashMap<char, Option<usize>>,
-    /// Highest-priority token accepted in this state.
-    accept: Option<TokenId>,
-}
-
-impl SnapshotState {
-    /// Builds the published view of state `id`, materialising its dense
-    /// byte row and self-transition mask from the memoised transitions.
-    fn build(id: usize, transitions: &HashMap<char, Option<usize>>, accept: Option<TokenId>) -> Self {
-        let mut dense = Box::new([DENSE_UNKNOWN; 256]);
-        let mut self_mask = [0u64; 4];
-        for (&c, &target) in transitions {
-            if c.is_ascii() {
-                let b = c as u32;
-                dense[b as usize] = match target {
-                    None => DENSE_DEAD,
-                    Some(next) => next as u32 + 2,
-                };
-                if target == Some(id) {
-                    self_mask[(b >> 6) as usize] |= 1u64 << (b & 63);
-                }
-            }
-        }
-        SnapshotState {
-            dense,
-            self_mask,
-            transitions: transitions.clone(),
-            accept,
-        }
-    }
-
-    /// Whether byte `b` self-transitions here (never for `b ≥ 0x80`).
-    #[inline]
-    fn self_loops(&self, b: u8) -> bool {
-        self.self_mask[usize::from(b >> 6)] & (1u64 << (b & 63)) != 0
-    }
-
-    /// Modeled resident bytes of this published state: its `Arc`
-    /// allocation, the dense 256-entry byte row, and the memoised `char`
-    /// map (per-entry constant folding in the hash-table overhead). Like
-    /// the parser-side accounting, the model is self-consistent rather
-    /// than allocator-exact.
-    fn bytes(&self) -> usize {
-        16 // Arc header (strong + weak counts)
-            + std::mem::size_of::<SnapshotState>()
-            + 256 * std::mem::size_of::<u32>()
-            + self.transitions.len()
-                * (std::mem::size_of::<(char, Option<usize>)>() + 16)
-    }
-}
-
-/// An immutable snapshot of every materialised DFA state — the scanner
-/// analogue of the parser's published table snapshot. A reader pins one
-/// `Arc<DfaSnapshot>` per `tokenize` call and serves every per-character
-/// step from it without locking; misses funnel into the cache's writer,
-/// which republishes, and the reader refreshes its pin.
-///
-/// Pinned reads stay sound because the materialised part of a DFA only
-/// ever *grows*: a definition change does not mutate the cache, it
-/// replaces the whole [`LazyDfa`] (the scanner rebuilds), so a pinned
-/// snapshot can be stale only in the sense of missing entries — never in
-/// the sense of wrong ones.
-#[derive(Debug, Default)]
 pub struct DfaSnapshot {
-    states: Vec<Arc<SnapshotState>>,
+    alphabet: Arc<Alphabet>,
+    /// Cells per row: the header plus one entry per alphabet class.
+    stride: usize,
+    chunks: Vec<Arc<[AtomicU32]>>,
 }
 
 impl DfaSnapshot {
-    /// Number of DFA states visible in this snapshot.
-    pub fn num_states(&self) -> usize {
-        self.states.len()
+    /// An empty table over `alphabet` with room for `states` rows (at
+    /// least one chunk).
+    fn with_capacity(alphabet: Arc<Alphabet>, states: usize) -> Self {
+        let mut table = DfaSnapshot {
+            stride: HEADER + alphabet.len(),
+            alphabet,
+            chunks: Vec::new(),
+        };
+        while table.chunks.is_empty() || table.capacity() < states {
+            table.push_chunk();
+        }
+        table
     }
 
-    /// `(storage address, modeled bytes)` of every published state.
-    /// Scanners that share carried-over states across epochs report the
-    /// *same* address for them, so a registry can sum resident bytes
-    /// deduplicated by pointer identity.
+    fn push_chunk(&mut self) {
+        let rows = 1usize << CHUNK_BITS;
+        self.chunks
+            .push((0..rows * self.stride).map(|_| AtomicU32::new(0)).collect());
+    }
+
+    /// This directory plus one more (empty) chunk.
+    fn grown(&self) -> Self {
+        let mut chunks = Vec::with_capacity(self.chunks.len() + 1);
+        chunks.extend(self.chunks.iter().cloned());
+        let mut grown = DfaSnapshot {
+            alphabet: self.alphabet.clone(),
+            stride: self.stride,
+            chunks,
+        };
+        grown.push_chunk();
+        grown
+    }
+
+    /// State `state`'s row, or `None` when it lies past the pinned chunks.
+    #[inline]
+    fn row(&self, state: usize) -> Option<&[AtomicU32]> {
+        self.rows().row(state)
+    }
+
+    #[inline]
+    fn rows(&self) -> Rows<'_> {
+        Rows {
+            alphabet: &self.alphabet,
+            stride: self.stride,
+            chunks: &self.chunks,
+        }
+    }
+
+    /// A copy of the first `states` rows into fresh chunks over `alphabet`,
+    /// which refines this table's alphabet by `splits`: a split class's
+    /// new part takes the entry of the class it split from. The rows of
+    /// states for which `keep` is false start empty.
+    fn copied(
+        &self,
+        alphabet: Arc<Alphabet>,
+        splits: &[(usize, usize)],
+        states: usize,
+        keep: impl Fn(usize) -> bool,
+    ) -> Self {
+        let copy = DfaSnapshot::with_capacity(alphabet, states);
+        for state in (0..states).filter(|&s| keep(s)) {
+            let (from, to) = (self.row(state).expect("a state has a row"), copy.row(state).expect("allocated"));
+            for (cell, old) in to.iter().zip(from) {
+                cell.store(old.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+            for &(parent, child) in splits {
+                to[HEADER + child].store(to[HEADER + parent].load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+        }
+        copy
+    }
+
+    /// Rows the pinned chunks hold, materialised or not.
+    pub fn capacity(&self) -> usize {
+        self.chunks.len() << CHUNK_BITS
+    }
+
+    /// `(storage address, modeled bytes)` of every chunk of rows, plus one
+    /// row for the alphabet partition. A registry sums resident bytes
+    /// deduplicated by these addresses.
     pub fn state_accounting(&self) -> Vec<(usize, usize)> {
-        self.states
+        let alphabet = (
+            Arc::as_ptr(&self.alphabet) as usize,
+            16 + std::mem::size_of::<Alphabet>() + 8 * self.alphabet.runs() + 4 * self.alphabet.len(),
+        );
+        self.chunks
             .iter()
-            .map(|s| (Arc::as_ptr(s) as usize, s.bytes()))
+            .map(|c| (Arc::as_ptr(c) as *const u8 as usize, 16 + 4 * c.len()))
+            .chain([alphabet])
             .collect()
     }
 
-    /// Total modeled resident bytes of this snapshot's states.
+    /// Total modeled resident bytes of this directory's chunks and
+    /// alphabet.
     pub fn resident_bytes(&self) -> usize {
-        self.states.iter().map(|s| s.bytes()).sum()
+        self.state_accounting().iter().map(|&(_, b)| b).sum()
     }
+}
+
+/// A directory's fields as plain copies: the scan loop keeps them in
+/// registers across its `Acquire` loads, which would otherwise make it
+/// reload them from the directory at every step.
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    alphabet: &'a Alphabet,
+    stride: usize,
+    chunks: &'a [Arc<[AtomicU32]>],
+}
+
+impl<'a> Rows<'a> {
+    #[inline]
+    fn row(self, state: usize) -> Option<&'a [AtomicU32]> {
+        let (chunk, at) = locate(state);
+        self.chunks.get(chunk)?.get(at * self.stride..(at + 1) * self.stride)
+    }
+}
+
+/// Why [`LazyDfa::longest_match_pinned_examined`] left its inner loop.
+enum Halt {
+    /// The scan is over: the input ended or a transition died.
+    End,
+    /// Entry `class` of the current state is not memoised yet; `c` is the
+    /// character at the scan position.
+    Miss(usize, char),
+    /// The next state's row lies past the pinned chunks.
+    Refresh,
 }
 
 /// A lazily determinised DFA over an [`Nfa`], shareable across threads.
 #[derive(Debug)]
 pub struct LazyDfa {
     nfa: Nfa,
-    cache: RwLock<DfaCache>,
-    /// The current published snapshot; replaced (copy-on-write over the
-    /// per-state `Arc`s) on every cache miss.
+    cache: Mutex<DfaCache>,
+    /// The current chunk directory; replaced only when a miss appends a
+    /// chunk or a definition change rebuilds the rows.
     published: RwLock<Arc<DfaSnapshot>>,
-    /// Cache hits are flushed here once per `longest_match`/`step` call
-    /// (not per character), so the pinned hot path touches no atomics.
+    /// Scan counters, added once per scan from a [`ScanTally`].
     cache_hits: AtomicUsize,
-    /// Characters consumed through the dense byte rows; flushed once per
-    /// `longest_match` call like `cache_hits`.
     dense_bytes: AtomicUsize,
-    /// Characters consumed by the self-transition skip loop; flushed once
-    /// per `longest_match` call like `cache_hits`.
     skip_loop_bytes: AtomicUsize,
-    /// Measurement knob: when set, `longest_match_pinned` ignores the
-    /// dense rows and runs the lazy `char`-map path for every character,
-    /// so benches can report the dense speedup on identical hardware.
+    /// Measurement knob: when set, scans bypass the byte-class table and
+    /// the skip loop and decode every character, so benches can report the
+    /// dense speedup on identical hardware.
     dense_disabled: AtomicBool,
 }
 
 impl Clone for LazyDfa {
     fn clone(&self) -> Self {
-        let mut cache = self.cache.read().unwrap().clone();
-        let published = Self::snapshot_of(&mut cache);
+        let cache = self.cache.lock().unwrap();
+        let snap = self.snapshot();
+        let rows = snap.copied(snap.alphabet.clone(), &[], cache.states.len(), |_| true);
         LazyDfa {
             nfa: self.nfa.clone(),
-            cache: RwLock::new(cache),
-            published: RwLock::new(published),
+            cache: Mutex::new(cache.clone()),
+            published: RwLock::new(Arc::new(rows)),
             cache_hits: AtomicUsize::new(self.cache_hits.load(Ordering::Relaxed)),
             dense_bytes: AtomicUsize::new(self.dense_bytes.load(Ordering::Relaxed)),
             skip_loop_bytes: AtomicUsize::new(self.skip_loop_bytes.load(Ordering::Relaxed)),
@@ -283,68 +359,41 @@ impl Clone for LazyDfa {
     }
 }
 
+/// Every character class on an NFA transition among `states`.
+fn classes_of(states: &[NfaState]) -> impl Iterator<Item = &CharClass> {
+    states.iter().flat_map(|s| s.transitions.iter().map(|(class, _)| class))
+}
+
 impl LazyDfa {
     /// Wraps an NFA; only the start DFA state is created.
     pub fn new(nfa: Nfa) -> Self {
-        let mut cache = DfaCache {
-            states: Vec::new(),
-            index: HashMap::new(),
-            stats: DfaStats::default(),
-            garbage: 0,
-        };
-        let start_set = nfa.epsilon_closure(&[nfa.start()]);
-        Self::intern(&nfa, &mut cache, start_set);
-        let published = Self::snapshot_of(&mut cache);
-        LazyDfa {
+        let mut alphabet = Alphabet::new();
+        alphabet.refine(classes_of(nfa.states()));
+        let dfa = LazyDfa {
             nfa,
-            cache: RwLock::new(cache),
-            published: RwLock::new(published),
+            cache: Mutex::new(DfaCache {
+                states: Vec::new(),
+                index: HashMap::new(),
+                stats: DfaStats::default(),
+                garbage: 0,
+                next: Vec::new(),
+                scratch: NfaScratch::default(),
+            }),
+            published: RwLock::new(Arc::new(DfaSnapshot::with_capacity(Arc::new(alphabet), 1))),
             cache_hits: AtomicUsize::new(0),
             dense_bytes: AtomicUsize::new(0),
             skip_loop_bytes: AtomicUsize::new(0),
             dense_disabled: AtomicBool::new(false),
-        }
+        };
+        let start_set = dfa.nfa.epsilon_closure(&[dfa.nfa.start()]);
+        dfa.intern(&mut dfa.cache.lock().unwrap(), &mut dfa.snapshot(), &start_set);
+        dfa
     }
 
-    /// Builds a full published snapshot of a cache (used at construction
-    /// and by `Clone`; misses update the current snapshot incrementally).
-    fn snapshot_of(cache: &mut DfaCache) -> Arc<DfaSnapshot> {
-        cache.stats.dense_rows_built += cache.states.len();
-        Arc::new(DfaSnapshot {
-            states: cache
-                .states
-                .iter()
-                .enumerate()
-                .map(|(i, s)| Arc::new(SnapshotState::build(i, &s.transitions, s.accept)))
-                .collect(),
-        })
-    }
-
-    /// The current published snapshot. Pin one per scan and serve every
-    /// per-character step from it; refresh on a miss (see
-    /// [`LazyDfa::longest_match_pinned`]).
+    /// The current chunk directory. Pin one per scan and serve every step
+    /// from it (see [`LazyDfa::longest_match_pinned`]).
     pub fn snapshot(&self) -> Arc<DfaSnapshot> {
         self.published.read().unwrap().clone()
-    }
-
-    /// Republishes the snapshot after a miss materialised new entries:
-    /// copy the per-state `Arc` vector, append any newly interned states,
-    /// and replace the one state whose transition map grew. Called with
-    /// the cache write lock held, so publications are serialized.
-    fn republish_locked(&self, cache: &mut DfaCache, touched: usize) {
-        let mut published = self.published.write().unwrap();
-        let mut states = published.states.clone();
-        let appended = cache.states.len() - states.len();
-        for (i, state) in cache.states.iter().enumerate().skip(states.len()) {
-            states.push(Arc::new(SnapshotState::build(i, &state.transitions, state.accept)));
-        }
-        states[touched] = Arc::new(SnapshotState::build(
-            touched,
-            &cache.states[touched].transitions,
-            cache.states[touched].accept,
-        ));
-        cache.stats.dense_rows_built += appended + 1;
-        *published = Arc::new(DfaSnapshot { states });
     }
 
     // ------------------------------------------------------------------
@@ -360,23 +409,24 @@ impl LazyDfa {
     // state, whose closure every change affects — behaves identically on
     // every character and keeps its memoised transitions. Its targets are
     // equally disjoint, so carried-over transitions can never lead into an
-    // invalidated slot. This implementation memoises transitions per
-    // character rather than per character class, so the class partition is
-    // implicit; the rebuild fallback below plays the role of "the
-    // partition itself changed" — when removals have turned too much of
-    // the NFA into garbage, the owner recompiles from scratch.
+    // invalidated slot. An added fragment may split alphabet classes; the
+    // carried rows copy the split class's entry to its new part. A removal
+    // keeps the finer partition. When removals have turned too much of the
+    // NFA into garbage, the owner recompiles from scratch, which also
+    // recomputes the partition from the active definitions.
 
     /// Adds a token definition to the live DFA. Only the start state is
     /// re-derived (its closure gains the new fragment's entry); every
     /// other materialised state is carried over. Returns the new token id.
     pub fn add_token(&mut self, regex: &Regex) -> TokenId {
         let id = self.nfa.add_token(regex);
+        let mut alphabet = (*self.snapshot().alphabet).clone();
+        let splits = alphabet.refine(classes_of(&self.nfa.states()[self.nfa.fragment_range(id)]));
         let cache = self.cache.get_mut().unwrap();
         let carried = cache.states.len() - 1 - cache.garbage;
         cache.stats.carried_over += carried;
         cache.stats.invalidated += 1;
-        Self::reset_start(&self.nfa, cache);
-        self.republish_after_edit(&[0]);
+        self.rebuild_rows(Arc::new(alphabet), &splits);
         id
     }
 
@@ -395,81 +445,56 @@ impl LazyDfa {
             return false;
         }
         let cache = self.cache.get_mut().unwrap();
-        let mut touched: Vec<usize> = vec![0];
-        for (i, state) in cache.states.iter().enumerate().skip(1) {
-            if state.dead {
-                continue;
-            }
+        let live_before = cache.states.len() - cache.garbage;
+        let mut touched = 1;
+        for state in cache.states.iter_mut().skip(1).filter(|s| !s.dead) {
             // `nfa_states` is sorted: binary-search the fragment bounds.
             let from = state.nfa_states.partition_point(|&s| s < range.start);
             if state.nfa_states.get(from).is_some_and(|&s| s < range.end) {
-                touched.push(i);
+                let set = std::mem::take(&mut state.nfa_states);
+                cache.index.remove(&set);
+                state.dead = true;
+                cache.garbage += 1;
+                touched += 1;
             }
         }
-        let live_before = cache.states.len() - cache.garbage;
-        for &i in touched.iter().skip(1) {
-            let state = &mut cache.states[i];
-            if cache.index.get(&state.nfa_states) == Some(&i) {
-                cache.index.remove(&state.nfa_states);
-            }
-            state.nfa_states = Vec::new();
-            state.transitions = HashMap::new();
-            state.accept = None;
-            state.dead = true;
-            cache.garbage += 1;
-        }
-        cache.stats.carried_over += live_before - touched.len();
-        cache.stats.invalidated += touched.len();
-        Self::reset_start(&self.nfa, cache);
-        self.republish_after_edit(&touched);
+        cache.stats.carried_over += live_before - touched;
+        cache.stats.invalidated += touched;
+        let alphabet = self.snapshot().alphabet.clone();
+        self.rebuild_rows(alphabet, &[]);
         true
     }
 
-    /// Re-derives the start DFA state (id 0) from the current NFA: its
-    /// epsilon closure is the one set every definition change affects.
-    fn reset_start(nfa: &Nfa, cache: &mut DfaCache) {
+    /// Copies the rows of every carried-over state into fresh chunks over
+    /// `alphabet` (refined by `splits`) and re-derives the start state
+    /// (id 0) from the current NFA: its epsilon closure is the one set
+    /// every definition change affects. Its row and the dead rows start
+    /// empty.
+    fn rebuild_rows(&mut self, alphabet: Arc<Alphabet>, splits: &[(usize, usize)]) {
+        let cache = self.cache.get_mut().unwrap();
+        let published = self.published.get_mut().unwrap();
+        let states = &cache.states;
+        let rows = published.copied(alphabet, splits, states.len(), |s| s > 0 && !states[s].dead);
         let old = std::mem::take(&mut cache.states[0].nfa_states);
         if cache.index.get(&old) == Some(&0) {
             cache.index.remove(&old);
         }
-        let closure = nfa.epsilon_closure(&[nfa.start()]);
-        cache.states[0] = LazyDfaState {
-            nfa_states: closure.clone(),
-            transitions: HashMap::new(),
-            accept: nfa.accepting_token(&closure),
-            dead: false,
-        };
+        let closure: Arc<[usize]> = self.nfa.epsilon_closure(&[self.nfa.start()]).into();
+        let accept = self.nfa.accepting_token(&closure);
+        rows.row(0).expect("the start row")[ACCEPT].store(accept.map_or(0, |t| t as u32 + 1), Ordering::Relaxed);
+        cache.stats.dense_rows_built += 1;
         // The closure contains the global start state, which no other DFA
         // state's set can, so this cannot collide with a live entry.
-        cache.index.insert(closure, 0);
-    }
-
-    /// Rebuilds the published snapshot after a definition change, reusing
-    /// the per-state `Arc`s of every carried-over state and re-deriving
-    /// only the touched ones.
-    fn republish_after_edit(&mut self, touched: &[usize]) {
-        let cache = self.cache.get_mut().unwrap();
-        let published = self.published.get_mut().unwrap();
-        let mut states = Vec::with_capacity(cache.states.len());
-        for (i, state) in cache.states.iter().enumerate() {
-            match published.states.get(i) {
-                // Carried-over states keep their dense rows (and the rest
-                // of their published view) — only touched ones re-derive.
-                Some(prev) if !touched.contains(&i) => states.push(prev.clone()),
-                _ => {
-                    cache.stats.dense_rows_built += 1;
-                    states.push(Arc::new(SnapshotState::build(i, &state.transitions, state.accept)));
-                }
-            }
-        }
-        *published = Arc::new(DfaSnapshot { states });
+        cache.index.insert(closure.clone(), 0);
+        cache.states[0].nfa_states = closure;
+        *published = Arc::new(rows);
     }
 
     /// Fraction of materialised DFA states (and underlying NFA states)
     /// that definition removals have turned into garbage. Owners rebuild
     /// from the active definitions when this gets large.
     pub fn garbage_fraction(&self) -> f64 {
-        let cache = self.cache.read().unwrap();
+        let cache = self.cache.lock().unwrap();
         let dfa_fraction = if cache.states.is_empty() {
             0.0
         } else {
@@ -485,129 +510,145 @@ impl LazyDfa {
 
     /// Work counters.
     pub fn stats(&self) -> DfaStats {
-        let mut stats = self.cache.read().unwrap().stats;
+        let mut stats = self.cache.lock().unwrap().stats;
         stats.cache_hits += self.cache_hits.load(Ordering::Relaxed);
         stats.dense_bytes += self.dense_bytes.load(Ordering::Relaxed);
         stats.skip_loop_bytes += self.skip_loop_bytes.load(Ordering::Relaxed);
         stats
     }
 
-    /// Measurement knob: disable (or re-enable) the dense byte-row fast
-    /// path. With it off, every character goes through the lazy `char`-map
-    /// path, so benches can measure the dense speedup on one host.
+    /// Adds a finished scan's counters to the DFA's and clears the tally.
+    pub fn flush(&self, tally: &mut ScanTally) {
+        let ScanTally {
+            hits,
+            dense_bytes,
+            skip_loop_bytes,
+        } = std::mem::take(tally);
+        for (counter, n) in [
+            (&self.cache_hits, hits),
+            (&self.dense_bytes, dense_bytes),
+            (&self.skip_loop_bytes, skip_loop_bytes),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// Measurement knob: disable (or re-enable) the byte-class table and
+    /// the skip loop. With them off, every character is decoded and finds
+    /// its class by the partition search, so benches can measure the dense
+    /// speedup on one host.
     pub fn set_dense_scanning(&self, enabled: bool) {
         self.dense_disabled.store(!enabled, Ordering::Relaxed);
     }
 
     /// Number of DFA states materialised so far.
     pub fn num_states(&self) -> usize {
-        self.cache.read().unwrap().states.len()
+        self.cache.lock().unwrap().states.len()
     }
 
-    fn intern(nfa: &Nfa, cache: &mut DfaCache, nfa_states: Vec<usize>) -> usize {
-        if let Some(&id) = cache.index.get(&nfa_states) {
+    /// Interns `nfa_states` as a DFA state, appending it — with a chunk, if
+    /// its row lies past `table`'s chunks — when it is new. Called with
+    /// the writer lock held; `table` is the published directory.
+    fn intern(&self, cache: &mut DfaCache, table: &mut Arc<DfaSnapshot>, nfa_states: &[usize]) -> usize {
+        if let Some(&id) = cache.index.get(nfa_states) {
             return id;
         }
-        let accept = nfa.accepting_token(&nfa_states);
         let id = cache.states.len();
+        if table.row(id).is_none() {
+            *table = Arc::new(table.grown());
+            *self.published.write().unwrap() = table.clone();
+        }
+        let accept = self.nfa.accepting_token(nfa_states);
+        let row = table.row(id).expect("the chunk was appended");
+        row[ACCEPT].store(accept.map_or(0, |t| t as u32 + 1), Ordering::Relaxed);
+        let nfa_states: Arc<[usize]> = nfa_states.into();
         cache.index.insert(nfa_states.clone(), id);
         cache.states.push(LazyDfaState {
             nfa_states,
-            transitions: HashMap::new(),
-            accept,
             dead: false,
         });
         cache.stats.states += 1;
+        cache.stats.dense_rows_built += 1;
         id
     }
 
-    /// The miss path: run one subset-construction step under the write
-    /// lock, memoise it, republish the snapshot, and return the target
-    /// state together with its accept token.
-    fn materialise_step(&self, state: usize, c: char) -> Option<(usize, Option<TokenId>)> {
-        let mut cache = self.cache.write().unwrap();
-        // Double-check: another thread may have filled the entry (and
-        // republished) while we were waiting for the write lock.
-        if let Some(&cached) = cache.states[state].transitions.get(&c) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return cached.map(|next| (next, cache.states[next].accept));
+    /// The miss path: one subset-construction step from `state` on `c`,
+    /// the character at hand of alphabet class `class`, under the writer
+    /// lock. Returns the memoised entry.
+    fn materialise(&self, state: usize, class: usize, c: char, tally: &mut ScanTally) -> u32 {
+        let mut cache = self.cache.lock().unwrap();
+        let mut table = self.snapshot();
+        // Another thread may have filled the entry while we waited.
+        let known = table.row(state).expect("a stepped state has a row")[HEADER + class].load(Ordering::Acquire);
+        if known != UNKNOWN {
+            tally.hits += 1;
+            return known;
         }
         cache.stats.cache_misses += 1;
-        let next_set = self.nfa.step(&cache.states[state].nfa_states, c);
-        let result = if next_set.is_empty() {
-            None
-        } else {
-            Some(Self::intern(&self.nfa, &mut cache, next_set))
-        };
-        cache.states[state].transitions.insert(c, result);
         cache.stats.transitions += 1;
-        self.republish_locked(&mut cache, state);
-        result.map(|next| (next, cache.states[next].accept))
-    }
-
-    /// The transition from DFA state `state` on character `c`, together
-    /// with the token accepted in the *target* state, served from the
-    /// caller's pinned snapshot when memoised (no locks), computed and
-    /// memoised through the writer otherwise (the pin is refreshed).
-    fn step_with_accept_pinned(
-        &self,
-        pin: &mut Arc<DfaSnapshot>,
-        hits: &mut usize,
-        state: usize,
-        c: char,
-    ) -> Option<(usize, Option<TokenId>)> {
-        if let Some(entry) = pin.states.get(state) {
-            if let Some(&cached) = entry.transitions.get(&c) {
-                *hits += 1;
-                return cached.map(|next| (next, pin.states[next].accept));
+        let cache = &mut *cache;
+        let mut next = std::mem::take(&mut cache.next);
+        self.nfa
+            .step_into(&cache.states[state].nfa_states, c, &mut next, &mut cache.scratch);
+        let entry = if next.is_empty() {
+            DEAD
+        } else {
+            self.intern(cache, &mut table, &next) as u32 + 2
+        };
+        cache.next = next;
+        let row = table.row(state).expect("a stepped state has a row");
+        row[HEADER + class].store(entry, Ordering::Release);
+        if entry == state as u32 + 2 {
+            for b in table.alphabet.ascii_bytes(class) {
+                row[MASK + usize::from(b >> 5)].fetch_or(1 << (b & 31), Ordering::Relaxed);
             }
         }
-        let stepped = self.materialise_step(state, c);
-        *pin = self.snapshot();
-        stepped
+        entry
     }
 
     /// The transition from DFA state `state` on character `c`, computing
-    /// and memoising it if necessary. `None` is the dead state. Pins a
-    /// fresh snapshot per call; scanners stepping many characters should
-    /// hold their own pin and use [`LazyDfa::longest_match_pinned`].
+    /// and memoising it if necessary. `None` is the dead state.
     pub fn step(&self, state: usize, c: char) -> Option<usize> {
-        let mut pin = self.snapshot();
-        let mut hits = 0usize;
-        let result = self
-            .step_with_accept_pinned(&mut pin, &mut hits, state, c)
-            .map(|(next, _)| next);
-        if hits > 0 {
-            self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        }
-        result
+        let table = self.snapshot();
+        let class = table.alphabet.class_of(c);
+        let mut tally = ScanTally::default();
+        let entry = match table.row(state).expect("a materialised state")[HEADER + class].load(Ordering::Acquire) {
+            UNKNOWN => self.materialise(state, class, c, &mut tally),
+            known => {
+                tally.hits += 1;
+                known
+            }
+        };
+        self.flush(&mut tally);
+        (entry != DEAD).then(|| (entry - 2) as usize)
     }
 
     /// The token accepted in `state`, if any.
     pub fn accept(&self, state: usize) -> Option<TokenId> {
-        self.cache.read().unwrap().states[state].accept
+        accept_of(self.snapshot().row(state)?)
     }
 
     /// The longest prefix of `input[start..]` that matches a token, as its
     /// length in bytes with the token id — served from the caller's pinned
-    /// snapshot. `start` must be a char boundary of `input`. ASCII bytes
-    /// step through the dense byte rows (one array load), with
-    /// self-transition runs (whitespace, identifier tails, literal bodies)
-    /// swallowed by a mask-test skip loop that re-derives `best` once per
-    /// run instead of once per byte. A non-ASCII character, and an ASCII
-    /// byte whose dense entry is not filled yet, takes the lazy `char`-map
-    /// path. Every step against already-materialised entries is a plain
-    /// read of immutable data: no locks, no atomics (counters are tallied
-    /// locally and flushed once on return). A miss takes the writer,
-    /// republishes and refreshes `pin` in place, so the caller's next
-    /// token starts from the enriched snapshot.
+    /// chunk directory, with the scan's counters added to `tally`. `start`
+    /// must be a char boundary of `input`. An ASCII byte steps through the
+    /// byte-class table and one row entry, and self-transition runs
+    /// (whitespace, identifier tails, literal bodies) are swallowed by a
+    /// mask-test skip loop that updates `best` once per run. A non-ASCII
+    /// character finds its class by the partition search. Steps against
+    /// memoised entries take no lock and write no shared memory. A miss
+    /// takes the writer; `pin` is refreshed only when a state's row lies
+    /// past its chunks.
     pub fn longest_match_pinned(
         &self,
         pin: &mut Arc<DfaSnapshot>,
+        tally: &mut ScanTally,
         input: &str,
         start: usize,
     ) -> Option<(usize, TokenId)> {
-        self.longest_match_pinned_examined(pin, input, start).0
+        self.longest_match_pinned_examined(pin, tally, input, start).0
     }
 
     /// [`LazyDfa::longest_match_pinned`] plus the *examined extent*: the
@@ -621,87 +662,90 @@ impl LazyDfa {
     pub fn longest_match_pinned_examined(
         &self,
         pin: &mut Arc<DfaSnapshot>,
+        tally: &mut ScanTally,
         input: &str,
         start: usize,
     ) -> (Option<(usize, TokenId)>, usize) {
-        let dense_enabled = !self.dense_disabled.load(Ordering::Relaxed);
+        let dense = !self.dense_disabled.load(Ordering::Relaxed);
         let bytes = input.as_bytes();
         let mut state = 0usize;
-        let mut hits = 0usize;
-        let mut dense_bytes = 0usize;
-        let mut skip_bytes = 0usize;
-        let mut best = pin
-            .states
-            .first()
-            .and_then(|s| s.accept)
-            .map(|t| (0usize, t));
         let mut pos = start;
-        while let Some(&b) = bytes.get(pos) {
-            let mut code = DENSE_UNKNOWN;
-            if dense_enabled {
-                if let Some(entry) = pin.states.get(state) {
-                    if entry.self_loops(b) {
+        let mut best = accept_of(pin.row(0).expect("chunk 0 is always pinned")).map(|t| (0, t));
+        let (mut hits, mut dense_bytes, mut skip_loop_bytes) = (0, 0, 0);
+        loop {
+            let rows = pin.rows();
+            let Some(mut row) = rows.row(state) else {
+                *pin = self.snapshot();
+                continue;
+            };
+            let halt = loop {
+                let Some(&b) = bytes.get(pos) else {
+                    break Halt::End;
+                };
+                let (class, c) = if dense && b.is_ascii() {
+                    if loops_on(row, b) {
                         // Skip loop: the state does not change across the
                         // run, so `best` needs one update at the end, not
                         // one per byte.
+                        let mask: [u32; 4] = std::array::from_fn(|w| row[MASK + w].load(Ordering::Relaxed));
                         let run_start = pos;
                         pos += 1;
-                        while bytes.get(pos).is_some_and(|&b2| entry.self_loops(b2)) {
+                        while bytes
+                            .get(pos)
+                            .is_some_and(|&b| b < 0x80 && mask[usize::from(b >> 5)] & (1 << (b & 31)) != 0)
+                        {
                             pos += 1;
                         }
-                        let run = pos - run_start;
-                        skip_bytes += run;
-                        hits += run;
-                        if let Some(t) = entry.accept {
+                        skip_loop_bytes += pos - run_start;
+                        hits += pos - run_start;
+                        if let Some(t) = accept_of(row) {
                             best = Some((pos - start, t));
                         }
                         continue;
                     }
-                    code = entry.dense[usize::from(b)];
-                }
-            }
-            if code >= 2 {
-                state = (code - 2) as usize;
-                pos += 1;
-                dense_bytes += 1;
+                    (rows.alphabet.ascii_class(b), char::from(b))
+                } else {
+                    let c = input[pos..].chars().next().expect("a char starts at a scan position");
+                    (rows.alphabet.class_of(c), c)
+                };
+                let next = match row[HEADER + class].load(Ordering::Acquire) {
+                    UNKNOWN => break Halt::Miss(class, c),
+                    DEAD => break Halt::End,
+                    entry => (entry - 2) as usize,
+                };
+                let Some(next_row) = rows.row(next) else {
+                    break Halt::Refresh;
+                };
+                (state, row) = (next, next_row);
+                pos += c.len_utf8();
                 hits += 1;
-                if let Some(t) = pin.states[state].accept {
+                dense_bytes += usize::from(dense && b.is_ascii());
+                if let Some(t) = accept_of(row) {
                     best = Some((pos - start, t));
                 }
-                continue;
-            }
-            if code == DENSE_DEAD {
-                break;
-            }
-            // DENSE_UNKNOWN: a non-ASCII character, the dense path
-            // disabled, or a genuinely unmaterialised byte — the lazy
-            // fallback resolves all three (and only the last one is a
-            // cache miss).
-            let c = if b.is_ascii() {
-                char::from(b)
-            } else {
-                input[pos..].chars().next().expect("a char starts at a scan position")
             };
-            match self.step_with_accept_pinned(pin, &mut hits, state, c) {
-                Some((next, accept)) => {
-                    state = next;
+            match halt {
+                Halt::End => break,
+                Halt::Refresh => *pin = self.snapshot(),
+                Halt::Miss(class, c) => {
+                    let entry = self.materialise(state, class, c, tally);
+                    if entry == DEAD {
+                        break;
+                    }
+                    state = (entry - 2) as usize;
                     pos += c.len_utf8();
-                    if let Some(t) = accept {
+                    if pin.row(state).is_none() {
+                        *pin = self.snapshot();
+                    }
+                    if let Some(t) = accept_of(pin.row(state).expect("a materialised state")) {
                         best = Some((pos - start, t));
                     }
                 }
-                None => break,
             }
         }
-        if hits > 0 {
-            self.cache_hits.fetch_add(hits, Ordering::Relaxed);
-        }
-        if dense_bytes > 0 {
-            self.dense_bytes.fetch_add(dense_bytes, Ordering::Relaxed);
-        }
-        if skip_bytes > 0 {
-            self.skip_loop_bytes.fetch_add(skip_bytes, Ordering::Relaxed);
-        }
+        tally.hits += hits;
+        tally.dense_bytes += dense_bytes;
+        tally.skip_loop_bytes += skip_loop_bytes;
         // At loop exit `pos` indexes the first byte of the character that
         // killed the scan (dead transition) or equals the input length (ran
         // out of text), so `pos + 1` uniformly covers everything read —
@@ -710,11 +754,14 @@ impl LazyDfa {
     }
 
     /// The longest prefix of `input[start..]` that matches a token, as its
-    /// length in bytes with the token id. Pins a fresh snapshot per call;
-    /// see [`LazyDfa::longest_match_pinned`] for the hot-loop form.
+    /// length in bytes with the token id. Pins the directory and flushes
+    /// the counters per call; see [`LazyDfa::longest_match_pinned`] for the
+    /// hot-loop form.
     pub fn longest_match(&self, input: &str, start: usize) -> Option<(usize, TokenId)> {
-        let mut pin = self.snapshot();
-        self.longest_match_pinned(&mut pin, input, start)
+        let mut tally = ScanTally::default();
+        let found = self.longest_match_pinned(&mut self.snapshot(), &mut tally, input, start);
+        self.flush(&mut tally);
+        found
     }
 }
 
@@ -787,21 +834,72 @@ mod tests {
     }
 
     #[test]
-    fn pinned_snapshots_serve_stale_reads_and_refresh_on_miss() {
-        let dfa = sample_dfa();
+    fn pins_see_entries_written_in_place_and_refresh_only_for_new_chunks() {
+        let dfa = LazyDfa::new(Nfa::build(&[Regex::literal("abcdefghijkl")]));
         let mut pin = dfa.snapshot();
-        assert_eq!(pin.num_states(), 1);
-        // Someone else expands the DFA; the pin is now stale but still
-        // answers (its entries can only be missing, never wrong).
-        dfa.longest_match("4281", 0);
-        assert!(dfa.num_states() > pin.num_states());
-        // A miss through the pin materialises, republishes and refreshes.
-        assert_eq!(dfa.longest_match_pinned(&mut pin, "abc", 0), Some((3, 1)));
-        assert_eq!(pin.num_states(), dfa.num_states());
-        // Steady state: the refreshed pin serves without further misses.
+        let mut tally = ScanTally::default();
+        assert_eq!(pin.capacity(), 8);
+        assert_eq!(dfa.longest_match_pinned(&mut pin, &mut tally, "abcd", 0), None);
+        assert!(Arc::ptr_eq(&pin, &dfa.snapshot()), "no chunk appended, nothing republished");
+        // Another scan fills entries of the pinned chunk in place; the old
+        // pin serves them without a miss.
+        dfa.longest_match("abcdef", 0);
         let misses = dfa.stats().cache_misses;
-        assert_eq!(dfa.longest_match_pinned(&mut pin, "abc", 0), Some((3, 1)));
+        assert_eq!(dfa.longest_match_pinned(&mut pin, &mut tally, "abcdef", 0), None);
         assert_eq!(dfa.stats().cache_misses, misses);
+        // The whole literal needs 13 states: rows 8.. lie in a second
+        // chunk, which the pin picks up by refreshing.
+        assert_eq!(dfa.longest_match_pinned(&mut pin, &mut tally, "abcdefghijkl", 0), Some((12, 0)));
+        assert_eq!(dfa.num_states(), 13);
+        assert_eq!(pin.capacity(), 16);
+        assert!(Arc::ptr_eq(&pin, &dfa.snapshot()));
+        // The counters reach the DFA when the tally is flushed.
+        let hits = dfa.stats().cache_hits;
+        dfa.flush(&mut tally);
+        assert!(dfa.stats().cache_hits > hits);
+    }
+
+    #[test]
+    fn one_miss_fills_a_whole_alphabet_class() {
+        let dfa = sample_dfa();
+        dfa.longest_match("a", 0);
+        let misses = dfa.stats().cache_misses;
+        // `b`..`h` and `A`..`Z` share `a`'s class: no keyword and no
+        // class of the NFA tells them apart.
+        for text in ["b", "h", "Q", "z"] {
+            assert_eq!(dfa.longest_match(text, 0), Some((1, 1)), "input `{text}`");
+        }
+        assert_eq!(dfa.stats().cache_misses, misses);
+        // `i` starts the keyword, so it is a class of its own.
+        dfa.longest_match("i", 0);
+        assert_eq!(dfa.stats().cache_misses, misses + 1);
+        // Characters outside every class share one class too, ASCII or not.
+        assert_eq!(dfa.longest_match("+", 0), None);
+        let misses = dfa.stats().cache_misses;
+        for text in ["%", "λ", "❄", "\u{10FFFF}"] {
+            assert_eq!(dfa.longest_match(text, 0), None, "input `{text}`");
+        }
+        assert_eq!(dfa.stats().cache_misses, misses);
+    }
+
+    #[test]
+    fn add_token_splits_classes_and_carried_rows_copy_their_entries() {
+        let mut dfa = LazyDfa::new(Nfa::build(&[Regex::parse("[a-z] [a-z]").unwrap()]));
+        assert_eq!(dfa.longest_match("ab", 0), Some((2, 0)));
+        let classes = dfa.snapshot().alphabet.len();
+        // `x` splits the letters: `x` becomes a class of its own.
+        let x = dfa.add_token(&Regex::literal("x"));
+        assert_eq!(dfa.snapshot().alphabet.len(), classes + 1);
+        let misses = dfa.stats().cache_misses;
+        // Past the re-derived start step, the carried state after one
+        // letter serves `x` from the entry copied from the letters' class.
+        assert_eq!(dfa.longest_match("ax", 0), Some((2, 0)));
+        assert_eq!(dfa.stats().cache_misses, misses + 1, "only the start step re-derived");
+        assert_eq!(dfa.longest_match("x", 0), Some((1, x)));
+        assert!(dfa.remove_token(0));
+        assert_eq!(dfa.longest_match("x", 0), Some((1, x)));
+        assert_eq!(dfa.longest_match("ab", 0), None);
+        assert_eq!(dfa.snapshot().alphabet.len(), classes + 1, "removal keeps the finer partition");
     }
 
     #[test]
@@ -906,7 +1004,7 @@ mod tests {
         let before = dfa.stats();
         assert_eq!(dfa.longest_match(input, 0), Some((input.len(), id)));
         let after = dfa.stats();
-        assert_eq!(after.cache_misses, before.cache_misses, "memoised in the char map");
+        assert_eq!(after.cache_misses, before.cache_misses, "memoised for their class");
         assert!(after.cache_hits > before.cache_hits);
         assert!(after.dense_bytes <= before.dense_bytes + 1, "only `x` can step densely");
     }

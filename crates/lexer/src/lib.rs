@@ -37,7 +37,7 @@ pub mod relex;
 pub mod scanner;
 
 pub use charclass::CharClass;
-pub use dfa::{DfaSnapshot, DfaStats, LazyDfa};
+pub use dfa::{DfaSnapshot, DfaStats, LazyDfa, ScanTally};
 pub use nfa::{Nfa, TokenId};
 pub use regex::Regex;
 pub use relex::{MatchRec, RelexOutcome, MAX_TEXT_BYTES};

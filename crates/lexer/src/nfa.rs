@@ -40,6 +40,14 @@ struct Fragment {
     active: bool,
 }
 
+/// Working space of [`Nfa::step_into`], reusable across calls.
+#[derive(Clone, Debug, Default)]
+pub struct NfaScratch {
+    /// Membership marks by NFA state; all `false` between calls.
+    seen: Vec<bool>,
+    work: Vec<usize>,
+}
+
 /// A non-deterministic finite automaton recognising the union of all token
 /// definitions, each accept state tagged with its token.
 #[derive(Clone, Debug, Default)]
@@ -236,29 +244,48 @@ impl Nfa {
 
     /// The epsilon closure of a set of states (sorted, deduplicated).
     pub fn epsilon_closure(&self, states: &[usize]) -> Vec<usize> {
-        let mut closure: Vec<usize> = states.to_vec();
-        let mut seen: Vec<bool> = vec![false; self.states.len()];
-        for &s in states {
+        let mut closure = states.to_vec();
+        self.close(&mut closure, &mut NfaScratch::default());
+        closure
+    }
+
+    /// Extends `set` to its epsilon closure and sorts it.
+    fn close(&self, set: &mut Vec<usize>, scratch: &mut NfaScratch) {
+        let NfaScratch { seen, work } = scratch;
+        seen.resize(self.states.len(), false);
+        for &s in set.iter() {
             seen[s] = true;
         }
-        let mut work: Vec<usize> = states.to_vec();
+        work.clear();
+        work.extend_from_slice(set);
         while let Some(s) = work.pop() {
             for &t in &self.states[s].epsilon {
                 if !seen[t] {
                     seen[t] = true;
-                    closure.push(t);
+                    set.push(t);
                     work.push(t);
                 }
             }
         }
-        closure.sort_unstable();
-        closure
+        for &s in set.iter() {
+            seen[s] = false;
+        }
+        set.sort_unstable();
     }
 
     /// The set of states reachable from `states` by consuming `c`,
     /// including the epsilon closure of the result.
     pub fn step(&self, states: &[usize], c: char) -> Vec<usize> {
         let mut next = Vec::new();
+        self.step_into(states, c, &mut next, &mut NfaScratch::default());
+        next
+    }
+
+    /// [`Nfa::step`] into `next` (cleared first), with `scratch` as working
+    /// space: a caller that steps repeatedly reuses both and allocates
+    /// nothing once they have grown.
+    pub fn step_into(&self, states: &[usize], c: char, next: &mut Vec<usize>, scratch: &mut NfaScratch) {
+        next.clear();
         for &s in states {
             for (class, target) in &self.states[s].transitions {
                 if class.contains(c) {
@@ -268,7 +295,7 @@ impl Nfa {
         }
         next.sort_unstable();
         next.dedup();
-        self.epsilon_closure(&next)
+        self.close(next, scratch);
     }
 
     /// The highest-priority (lowest-id) token accepted by any state in the

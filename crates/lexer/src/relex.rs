@@ -35,7 +35,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::dfa::DfaSnapshot;
+use crate::dfa::{DfaSnapshot, ScanTally};
 use crate::nfa::TokenId;
 use crate::scanner::{unexpected_character, ScanError, Scanner};
 
@@ -142,10 +142,10 @@ struct ScanFrom {
 }
 
 impl Scanner {
-    /// Pins the scanner's current DFA snapshot — the pin a document
-    /// session holds across [`Scanner::lex_records`] /
-    /// [`Scanner::relex_splice`] calls (cache misses enrich and refresh it
-    /// in place).
+    /// Pins the scanner's DFA chunk directory — the pin a document session
+    /// holds across [`Scanner::lex_records`] / [`Scanner::relex_splice`]
+    /// calls (cache misses write into its chunks in place and refresh it
+    /// when they append one).
     pub fn dfa_snapshot(&self) -> Arc<DfaSnapshot> {
         self.dfa().snapshot()
     }
@@ -161,15 +161,22 @@ impl Scanner {
         recs: &mut Vec<MatchRec>,
     ) -> Result<(), ScanError> {
         recs.clear();
+        let mut tally = ScanTally::default();
         let (mut pos, mut examined_max) = (0, 0);
-        loop {
-            let (rec, end) = self.scan_record(pin, text, pos, None, &mut examined_max)?;
-            recs.push(rec);
-            if rec.slot().is_none() {
-                return Ok(());
+        let lexed = loop {
+            match self.scan_record(pin, &mut tally, text, pos, None, &mut examined_max) {
+                Ok((rec, end)) => {
+                    recs.push(rec);
+                    if rec.slot().is_none() {
+                        break Ok(());
+                    }
+                    pos = end;
+                }
+                Err(e) => break Err(e),
             }
-            pos = end;
-        }
+        };
+        self.dfa().flush(&mut tally);
+        lexed
     }
 
     /// Re-lexes the damaged region of an edited document. `text` is the
@@ -218,6 +225,7 @@ impl Scanner {
         // Re-scanned records are staged past the old end of `recs`; a scan
         // error truncates them away again, leaving `recs` as it was.
         let old_len = recs.len();
+        let mut tally = ScanTally::default();
         let resync = loop {
             if pos >= edit_new_end {
                 let old_pos = (pos as i64 - delta) as usize;
@@ -229,10 +237,11 @@ impl Scanner {
                     break Some(j0 + rel);
                 }
             }
-            let scanned = self.scan_record(pin, text, pos, resume.take(), &mut examined_max);
+            let scanned = self.scan_record(pin, &mut tally, text, pos, resume.take(), &mut examined_max);
             let (rec, end) = match scanned {
                 Ok(scanned) => scanned,
                 Err(e) => {
+                    self.dfa().flush(&mut tally);
                     recs.truncate(old_len);
                     return Err(e);
                 }
@@ -244,6 +253,7 @@ impl Scanner {
             pos = end;
         };
 
+        self.dfa().flush(&mut tally);
         // Without a resynchronisation both the replaced range and the
         // re-scan end with a final record, which holds no token.
         let replaced_end = resync.unwrap_or(old_len);
@@ -285,18 +295,19 @@ impl Scanner {
     fn scan_record(
         &self,
         pin: &mut Arc<DfaSnapshot>,
+        tally: &mut ScanTally,
         text: &str,
         start: usize,
         resume: Option<ScanFrom>,
         examined_max: &mut u32,
     ) -> Result<(MatchRec, usize), ScanError> {
         let resumed = match resume {
-            Some(from) => Some(self.scan_matches(pin, text, from)?).filter(|m| m.tail.is_some()),
+            Some(from) => Some(self.scan_matches(pin, tally, text, from)?).filter(|m| m.tail.is_some()),
             None => None,
         };
         let Matched { slot, tail, end } = match resumed {
             Some(matched) => matched,
-            None => self.scan_matches(pin, text, ScanFrom { pos: start, examined: start })?,
+            None => self.scan_matches(pin, tally, text, ScanFrom { pos: start, examined: start })?,
         };
         let (tail_off, head_examined_off) = tail
             .and_then(|(at, examined)| {
@@ -324,6 +335,7 @@ impl Scanner {
     fn scan_matches(
         &self,
         pin: &mut Arc<DfaSnapshot>,
+        tally: &mut ScanTally,
         text: &str,
         from: ScanFrom,
     ) -> Result<Matched, ScanError> {
@@ -345,7 +357,7 @@ impl Scanner {
                     end,
                 });
             }
-            let (m, match_examined) = self.dfa().longest_match_pinned_examined(pin, text, pos);
+            let (m, match_examined) = self.dfa().longest_match_pinned_examined(pin, tally, text, pos);
             let (len, slot) = match m {
                 Some((len, slot)) if len > 0 => (len, slot),
                 _ => return Err(unexpected_character(text, pos)),

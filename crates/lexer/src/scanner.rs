@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use ipg_grammar::{Grammar, SymbolId};
 
-use crate::dfa::{DfaSnapshot, DfaStats, LazyDfa};
+use crate::dfa::{DfaSnapshot, DfaStats, LazyDfa, ScanTally};
 use crate::nfa::{Nfa, TokenId};
 use crate::regex::Regex;
 
@@ -191,9 +191,10 @@ impl Scanner {
         self.carried_total
     }
 
-    /// Measurement knob: disable (or re-enable) the DFA's dense byte-row
-    /// fast path so benches can compare dense vs lazy `char` scanning on
-    /// identical hardware. Takes `&self`; safe to flip on a live scanner.
+    /// Measurement knob: disable (or re-enable) the DFA's byte-class table
+    /// and skip loop so benches can compare them against decoding every
+    /// `char` on identical hardware. Takes `&self`; safe to flip on a live
+    /// scanner.
     pub fn set_dense_scanning(&self, enabled: bool) {
         self.dfa.set_dense_scanning(enabled);
     }
@@ -244,20 +245,20 @@ impl Scanner {
         }
         self.active.retain(|d| d.name != name);
         self.rebuilds += 1;
-        // Fallback: compact the tombstones away and recompile. This is
-        // the per-character analogue of "the class partition itself
-        // changed": carrying over is no longer worth the garbage.
+        // Fallback: compact the tombstones away and recompile, which also
+        // recomputes the alphabet classes from the active definitions:
+        // carrying over is no longer worth the garbage.
         self.maybe_compact();
         true
     }
 
     /// Scans `input` into tokens, skipping layout. Takes `&self`: threads
-    /// may scan concurrently against one scanner. The call pins one
-    /// immutable DFA snapshot up front and serves every step from it — the
-    /// hot loop is lock-free; only cache misses (first-time
-    /// subset-construction steps) take the DFA's writer and refresh the
-    /// pin. Allocates the `Token` structs it returns; streaming consumers
-    /// use [`Scanner::stream`] and never materialise tokens.
+    /// may scan concurrently against one scanner. The call pins the DFA's
+    /// chunk directory up front and serves every step from it — the hot
+    /// loop is lock-free; only cache misses (first-time
+    /// subset-construction steps) take the DFA's writer. Allocates the
+    /// `Token` structs it returns; streaming consumers use
+    /// [`Scanner::stream`] and never materialise tokens.
     pub fn tokenize(&self, input: &str) -> Result<Vec<Token>, ScanError> {
         let mut stream = self.stream(input);
         let mut tokens = Vec::new();
@@ -279,28 +280,29 @@ impl Scanner {
     }
 
     /// Opens a streaming tokenizer over the bytes of `input`, in place and
-    /// without allocating. The stream pins one immutable DFA snapshot and
+    /// without allocating. The stream pins the DFA's chunk directory and
     /// yields token-id *slots* instead of materialised [`Token`]s — the
-    /// form the fused lexer→parser path consumes.
+    /// form the fused lexer→parser path consumes. Its scan counters reach
+    /// [`Scanner::dfa_stats`] when it is dropped.
     pub fn stream<'a>(&'a self, input: &'a str) -> TokenStream<'a> {
         TokenStream {
             scanner: self,
             pin: self.dfa.snapshot(),
+            tally: ScanTally::default(),
             input,
             pos: 0,
         }
     }
 
-    /// Modeled heap bytes of the materialised DFA snapshot (the derived,
-    /// evictable state). The persistent token definitions are not counted:
-    /// they are the cheap source the lazy DFA re-derives from.
+    /// Modeled heap bytes of the materialised DFA rows and alphabet (the
+    /// derived, evictable state). The persistent token definitions are not
+    /// counted: they are the cheap source the lazy DFA re-derives from.
     pub fn resident_bytes(&self) -> usize {
         self.dfa.snapshot().resident_bytes()
     }
 
-    /// Per-state accounting rows of the materialised DFA snapshot:
-    /// `(Arc pointer as usize, modeled bytes)`. Snapshot states are shared
-    /// by `Arc` across epochs that carried them over, so a registry summing
+    /// Per-chunk accounting rows of the materialised DFA:
+    /// `(Arc pointer as usize, modeled bytes)`, so a registry summing
     /// residency across tenants can dedupe by pointer identity.
     pub fn snapshot_accounting(&self) -> Vec<(usize, usize)> {
         self.dfa.snapshot().state_accounting()
@@ -337,7 +339,7 @@ impl Scanner {
     }
 
     /// The underlying lazy DFA (crate-internal: the incremental re-lexer
-    /// in [`crate::relex`] drives it with its own pinned snapshot).
+    /// in [`crate::relex`] drives it with its own pin).
     pub(crate) fn dfa(&self) -> &LazyDfa {
         &self.dfa
     }
@@ -379,21 +381,29 @@ pub struct RawMatch {
     pub layout: bool,
 }
 
-/// A streaming tokenizer over one pinned DFA snapshot: the scanner side of
-/// lexer→parser fusion.
+/// A streaming tokenizer over one pinned DFA chunk directory: the scanner
+/// side of lexer→parser fusion.
 ///
 /// Yields token-id slots one match at a time instead of materialising a
 /// token vector — no `Token` structs, no name/text strings, no copy of the
 /// text: the stream walks the input's UTF-8 bytes in place, and every
 /// position it reports is a byte offset. Every step against
-/// already-materialised DFA entries is a plain read of immutable data; a
-/// miss funnels into the DFA's writer and refreshes the pin in place.
+/// already-memoised DFA entries is a plain load; a miss funnels into the
+/// DFA's writer. The stream tallies its scan counters locally and adds
+/// them to the DFA's once, when it is dropped.
 #[derive(Debug)]
 pub struct TokenStream<'a> {
     scanner: &'a Scanner,
     pin: Arc<DfaSnapshot>,
+    tally: ScanTally,
     input: &'a str,
     pos: usize,
+}
+
+impl Drop for TokenStream<'_> {
+    fn drop(&mut self) {
+        self.scanner.dfa.flush(&mut self.tally);
+    }
 }
 
 impl TokenStream<'_> {
@@ -405,7 +415,7 @@ impl TokenStream<'_> {
         match self
             .scanner
             .dfa
-            .longest_match_pinned(&mut self.pin, self.input, self.pos)
+            .longest_match_pinned(&mut self.pin, &mut self.tally, self.input, self.pos)
         {
             Some((len, slot)) if len > 0 => {
                 let start = self.pos;

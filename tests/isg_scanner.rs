@@ -2,8 +2,17 @@
 //! agrees with direct NFA simulation, and incremental token-definition
 //! changes behave like rebuilding the scanner from scratch.
 
-use ipg_lexer::{simple_scanner, CharClass, LazyDfa, Nfa, Regex, Scanner, TokenDef};
+use ipg_lexer::{simple_scanner, CharClass, LazyDfa, Nfa, Regex, Scanner, TokenDef, TokenId};
 use proptest::prelude::*;
+
+/// Case count: `IPG_PROPTEST_CASES` (the CI epoch-stress job runs 256 in
+/// release mode), defaulting to 64.
+fn cases() -> u32 {
+    std::env::var("IPG_PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(64)
+}
 
 /// A small pool of token regexes to combine into scanners.
 fn regex_pool() -> Vec<(&'static str, Regex)> {
@@ -76,7 +85,7 @@ fn wide_input_strategy() -> impl Strategy<Value = String> {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// The lazy DFA's longest match equals the NFA reference at every
     /// starting offset of arbitrary input.
@@ -227,6 +236,82 @@ proptest! {
                 prop_assert_eq!(Some((offset, character)), oracle_error);
             }
             Err(other) => return Err(TestCaseError::fail(format!("unexpected error {other:?}"))),
+        }
+    }
+}
+
+/// Token definitions a lexical MODIFY script adds: each splits an alphabet
+/// class of the base definitions (`[a-z]+`, `[0-9]+`, blanks) or of an
+/// earlier addition — a keyword inside `[a-z]`, a range inside it, a
+/// negated class, multi-byte literals and a class of Greek letters.
+fn splitting_pool() -> Vec<Regex> {
+    vec![
+        Regex::literal("if"),
+        Regex::class(CharClass::range('m', 'q')).plus(),
+        Regex::class(CharClass::parse("~[a-z\\n ]").unwrap()).plus(),
+        Regex::literal("λx"),
+        Regex::concat([Regex::literal("é"), Regex::class(CharClass::range('α', 'ω')).star()]),
+        Regex::literal("x9"),
+    ]
+}
+
+/// Pieces of the inputs scanned between the edits of a MODIFY script.
+const SPLIT_PIECES: [&str; 15] = [
+    "if", "iff", "x9", "λx", "λ", "é", "αβ", "mnop", "abc", "42", " ", "\n", "%", "❄", "q",
+];
+
+/// At every char boundary of `input`, on the dense path and on the
+/// decoding path, the DFA's longest match (as a char count) equals the
+/// NFA's.
+fn agrees_with_nfa(dfa: &LazyDfa, input: &str) -> Result<(), TestCaseError> {
+    let chars: Vec<char> = input.chars().collect();
+    let boundaries = input.char_indices().map(|(i, _)| i).chain([input.len()]);
+    for (k, start) in boundaries.enumerate() {
+        let reference = dfa.nfa().longest_match(&chars[k..]);
+        for dense in [true, false] {
+            dfa.set_dense_scanning(dense);
+            let lazy = dfa
+                .longest_match(input, start)
+                .map(|(len, t)| (input[start..start + len].chars().count(), t));
+            prop_assert_eq!(lazy, reference, "byte {} of {:?} (dense {})", start, input, dense);
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
+
+    /// Partition refinement under lexical MODIFY: random `add_token` /
+    /// `remove_token` scripts whose classes split existing ones, with a
+    /// scan after every edit. Carried-over rows copy the entry of a split
+    /// class to its new part, and removals keep the finer partition; the
+    /// DFA must still agree with direct NFA simulation everywhere.
+    #[test]
+    fn partition_refinement_under_lexical_modify_agrees_with_nfa(
+        script in proptest::collection::vec((any::<bool>(), 0..6usize), 1..8),
+        inputs in proptest::collection::vec(proptest::collection::vec(0..SPLIT_PIECES.len(), 0..10), 8),
+    ) {
+        let pool = splitting_pool();
+        let base = [
+            Regex::class(CharClass::range('a', 'z')).plus(),
+            Regex::class(CharClass::digit()).plus(),
+            Regex::class(CharClass::from_ranges([(' ', ' '), ('\n', '\n')])).plus(),
+        ];
+        let mut dfa = LazyDfa::new(Nfa::build(&base));
+        let mut active: Vec<TokenId> = vec![0, 1, 2];
+        let text = |i: usize| inputs[i % inputs.len()].iter().map(|&p| SPLIT_PIECES[p]).collect::<String>();
+        // Materialise states before the first edit so that there are rows
+        // to carry over.
+        agrees_with_nfa(&dfa, &text(inputs.len() - 1))?;
+        for (step, &(add, pick)) in script.iter().enumerate() {
+            if add || active.is_empty() {
+                active.push(dfa.add_token(&pool[pick]));
+            } else {
+                let id = active.remove(pick % active.len());
+                prop_assert!(dfa.remove_token(id));
+            }
+            agrees_with_nfa(&dfa, &text(step))?;
         }
     }
 }

@@ -250,3 +250,62 @@ fn pinned_epoch_keeps_its_lexical_syntax_across_modify() {
     // Both epochs share one table state: same grammar version.
     assert_eq!(pinned.grammar_version(), server.grammar_version());
 }
+
+/// Cold misses under contention: eight threads tokenize the Fig. 7 inputs
+/// against one freshly re-lazified SDF scanner, so every subset-construction
+/// step races other threads' misses and readers of the rows being written.
+/// Every token stream equals a cold single-threaded oracle, and the DFA ends
+/// with exactly the oracle's states: no racing miss interned a state twice.
+/// A stream dropped part-way leaves the DFA serving correct scans.
+#[test]
+fn cold_misses_under_contention_match_a_single_thread_oracle() {
+    use ipg_sdf::fixtures::{measurement_inputs, sdf_grammar_and_scanner};
+
+    let sdf = sdf_grammar_and_scanner().scanner;
+    let inputs = measurement_inputs();
+    let oracle = sdf.relazified();
+    let expected: Vec<_> = inputs.iter().map(|input| oracle.tokenize(input.text)).collect();
+    assert!(expected.iter().all(Result::is_ok), "the Fig. 7 inputs scan");
+    let oracle_states = oracle.dfa_stats().states;
+
+    let shared = sdf.relazified();
+    assert_eq!(shared.dfa_stats().states, 1, "a re-lazified DFA holds only the start state");
+    thread::scope(|scope| {
+        for t in 0..8 {
+            let (shared, inputs, expected) = (&shared, &inputs, &expected);
+            scope.spawn(move || {
+                // Threads start at different inputs, and half of them first
+                // drop a stream after a few tokens.
+                for round in 0..inputs.len() {
+                    let i = (t + round) % inputs.len();
+                    if t % 2 == 1 {
+                        let mut stream = shared.stream(inputs[i].text);
+                        for _ in 0..1 + t {
+                            stream.next_slot().expect("a prefix of a Fig. 7 input scans");
+                        }
+                    }
+                    assert_eq!(shared.tokenize(inputs[i].text), expected[i], "{}", inputs[i].name);
+                }
+            });
+        }
+    });
+    assert_eq!(shared.dfa_stats().states, oracle_states);
+
+    // A stream dropped after k tokens, on a cold scanner: later scans are
+    // still the oracle's, and its counters were kept (the first token is
+    // all misses; by the seventh, steps repeat).
+    let asf = inputs.iter().find(|i| i.name == "ASF.sdf").expect("ASF.sdf is a Fig. 7 input");
+    let expected_asf = oracle.tokenize(asf.text).expect("ASF.sdf scans");
+    for k in [1, 7, 50] {
+        let cold = sdf.relazified();
+        let mut stream = cold.stream(asf.text);
+        for _ in 0..k {
+            stream.next_slot().expect("a prefix of ASF.sdf scans");
+        }
+        drop(stream);
+        let hits = cold.dfa_stats().cache_hits;
+        assert!(k < 7 || hits > 0, "the dropped stream flushed its counters");
+        assert_eq!(cold.tokenize(asf.text).as_ref(), Ok(&expected_asf), "after dropping at {k}");
+        assert!(cold.dfa_stats().cache_hits > hits);
+    }
+}
