@@ -40,11 +40,10 @@
 //!
 //! Run with `cargo run --release -p ipg-bench --bin incremental_text`.
 
-use std::fmt::Write as _;
 use std::ops::Range;
 use std::time::Instant;
 
-use ipg::IpgServer;
+use ipg::{json, IpgServer};
 use ipg_bench::mean_max_us;
 use ipg_lexer::simple_scanner;
 
@@ -250,31 +249,23 @@ fn main() {
     println!("relayout/substitution latency ratio (front):   {relayout_over_substitute:.2}");
     println!("incremental/full latency ratio (end edits):    {work_ratio:.5}");
 
-    let mut json = String::from("{\n  \"rows\": [\n");
-    for (i, row) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"scenario\": \"{}\", \"mean_us\": {:.2}, \"max_us\": {:.2}, \
-             \"tokens_relexed\": {:.2}, \"states_rerun\": {:.2}, \"converged\": {:.2}}}{}",
-            row.scenario,
-            row.mean_us,
-            row.max_us,
-            row.tokens_relexed,
-            row.states_rerun,
-            row.converged,
-            if i + 1 < rows.len() { "," } else { "" },
-        );
-    }
-    let _ = write!(
-        json,
-        "  ],\n  \"tokens\": {TOKENS},\n  \"open_document_ms\": {:.3},\n  \
-         \"single_token_edit_speedup\": {speedup_end:.3},\n  \
-         \"single_token_edit_speedup_front\": {speedup_front:.3},\n  \
-         \"substitution_edit_speedup_front\": {speedup_substitute:.3},\n  \
-         \"relayout_over_substitute_front\": {relayout_over_substitute:.3},\n  \
-         \"incremental_full_ratio\": {work_ratio:.6}\n}}\n",
-        open_s * 1e3,
-    );
+    let json = json::object(|doc| {
+        doc.objects("rows", &rows, |o, row| {
+            o.string("scenario", row.scenario)
+                .field("mean_us", format_args!("{:.2}", row.mean_us))
+                .field("max_us", format_args!("{:.2}", row.max_us))
+                .field("tokens_relexed", format_args!("{:.2}", row.tokens_relexed))
+                .field("states_rerun", format_args!("{:.2}", row.states_rerun))
+                .field("converged", format_args!("{:.2}", row.converged));
+        })
+        .field("tokens", TOKENS)
+        .field("open_document_ms", format_args!("{:.3}", open_s * 1e3))
+        .field("single_token_edit_speedup", format_args!("{speedup_end:.3}"))
+        .field("single_token_edit_speedup_front", format_args!("{speedup_front:.3}"))
+        .field("substitution_edit_speedup_front", format_args!("{speedup_substitute:.3}"))
+        .field("relayout_over_substitute_front", format_args!("{relayout_over_substitute:.3}"))
+        .field("incremental_full_ratio", format_args!("{work_ratio:.6}"));
+    });
     std::fs::write("BENCH_incremental_text.json", &json).expect("write BENCH_incremental_text.json");
     println!("\nwrote BENCH_incremental_text.json");
 

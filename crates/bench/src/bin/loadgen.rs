@@ -67,6 +67,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
+use ipg::json::{self, JsonObject};
 use ipg::{IpgServer, IpgSession, LatencyHistogram};
 use ipg_frontend::protocol::{
     read_response, write_request, FrameError, Status, Verb, DEFAULT_MAX_FRAME,
@@ -471,43 +472,27 @@ fn open_loop_phase(
 // Reporting
 // ---------------------------------------------------------------------
 
-fn histogram_json(h: &LatencyHistogram) -> String {
-    let (p50, p99, p999) = h.percentiles_us();
-    format!(
-        "{{\"count\": {}, \"mean_us\": {:.1}, \"p50_us\": {p50}, \"p99_us\": {p99}, \
-         \"p999_us\": {p999}, \"max_us\": {}}}",
-        h.count(),
-        h.mean_us(),
-        h.max_us()
-    )
-}
-
-fn phase_json(multiplier: f64, rate: f64, deadline_us: u32, tally: &Tally) -> String {
-    format!(
-        "    {{\"offered_x\": {multiplier}, \"offered_rps\": {rate:.1}, \
-         \"deadline_us\": {deadline_us}, \"sent\": {}, \"replies\": {}, \"ok\": {}, \
-         \"accepted\": {}, \"overloaded\": {}, \"deadline_exceeded\": {}, \
-         \"shutting_down\": {}, \"resource_exhausted\": {}, \"cancelled\": {}, \
-         \"error\": {}, \"send_errors\": {}, \"unanswered\": {}, \
-         \"shed_rate\": {:.4}, \"max_send_lag_us\": {}, \"latency_served_us\": {}, \
-         \"latency_shed_us\": {}}}",
-        tally.sent,
-        tally.replies(),
-        tally.ok,
-        tally.accepted,
-        tally.overloaded,
-        tally.deadline_exceeded,
-        tally.shutting_down,
-        tally.resource_exhausted,
-        tally.cancelled,
-        tally.error,
-        tally.send_errors,
-        tally.unanswered,
-        tally.shed_rate(),
-        tally.max_send_lag_us,
-        histogram_json(&tally.latency_ok),
-        histogram_json(&tally.latency_shed),
-    )
+/// One phase's tallies as the members of a JSON object.
+fn phase_json(o: &mut JsonObject<'_>, multiplier: f64, rate: f64, deadline_us: u32, tally: &Tally) {
+    o.field("offered_x", multiplier)
+        .field("offered_rps", format_args!("{rate:.1}"))
+        .field("deadline_us", deadline_us)
+        .field("sent", tally.sent)
+        .field("replies", tally.replies())
+        .field("ok", tally.ok)
+        .field("accepted", tally.accepted)
+        .field("overloaded", tally.overloaded)
+        .field("deadline_exceeded", tally.deadline_exceeded)
+        .field("shutting_down", tally.shutting_down)
+        .field("resource_exhausted", tally.resource_exhausted)
+        .field("cancelled", tally.cancelled)
+        .field("error", tally.error)
+        .field("send_errors", tally.send_errors)
+        .field("unanswered", tally.unanswered)
+        .field("shed_rate", format_args!("{:.4}", tally.shed_rate()))
+        .field("max_send_lag_us", tally.max_send_lag_us)
+        .histogram("latency_served_us", &tally.latency_ok)
+        .histogram("latency_shed_us", &tally.latency_shed);
 }
 
 // ---------------------------------------------------------------------
@@ -850,39 +835,41 @@ fn main() {
         well.latency_ok.percentiles_us().1 as f64 / p99_1x.max(1) as f64
     });
 
-    let mut json = format!(
-        "{{\n  \"benchmark\": \"frontend\",\n  \"workload\": \"sdf-exp\",\n  \
-         \"mode\": \"{}\",\n  \"host_cores\": {cores},\n  \"conns\": {},\n  \
-         \"tenants\": {},\n  \"phase_secs\": {},\n  \"closed_loop_rps\": {closed_rps:.1},\n  \
-         \"capacity_rps\": {capacity:.1},\n  \"phases\": [\n",
-        if in_process { "in-process" } else { "external" },
-        options.conns,
-        options.tenants,
-        options.phase_secs,
-    );
-    for (i, (multiplier, rate, deadline_us, tally)) in results.iter().enumerate() {
-        json.push_str(&phase_json(*multiplier, *rate, *deadline_us, tally));
-        json.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    let adversarial_json = match &adversarial {
-        Some((mix, rate, well, adv)) => format!(
-            "{{\n    \"pct\": {},\n    \"sentence_tokens\": 96,\n    \"well_behaved\":\n{},\n    \
-             \"adversarial\":\n{},\n    \"well_p99_ratio_vs_1x\": {:.3},\n    \
-             \"well_p99_ratio_gate\": {adversarial_gate}\n  }}",
-            options.adversarial,
-            phase_json(1.0, *rate, 0, well),
-            phase_json(1.0, *rate, mix.deadline_us, adv),
-            adversarial_ratio.unwrap_or(0.0),
-        ),
-        None => "null".to_owned(),
-    };
-    json.push_str(&format!(
-        "  ],\n  \"adversarial\": {adversarial_json},\n  \
-         \"p99_served_us_0_8x\": {p99_08},\n  \"p99_served_us_4x\": {p99_4x},\n  \
-         \"p99_ratio_4x_vs_0_8x\": {p99_ratio:.3},\n  \"p99_ratio_gate\": {ratio_gate},\n  \
-         \"shed_rate_1x\": {shed_rate_1x:.4},\n  \
-         \"unanswered_total\": {unanswered_total},\n  \"server_stats\": {server_stats_json}\n}}\n",
-    ));
+    let json = json::object(|doc| {
+        doc.string("benchmark", "frontend")
+            .string("workload", "sdf-exp")
+            .string("mode", if in_process { "in-process" } else { "external" })
+            .field("host_cores", cores)
+            .field("conns", options.conns)
+            .field("tenants", options.tenants)
+            .field("phase_secs", options.phase_secs)
+            .field("closed_loop_rps", format_args!("{closed_rps:.1}"))
+            .field("capacity_rps", format_args!("{capacity:.1}"))
+            .objects("phases", &results, |o, (multiplier, rate, deadline_us, tally)| {
+                phase_json(o, *multiplier, *rate, *deadline_us, tally);
+            });
+        match &adversarial {
+            Some((mix, rate, well, adv)) => doc.object("adversarial", |o| {
+                o.field("pct", options.adversarial)
+                    .field("sentence_tokens", 96)
+                    .object("well_behaved", |o| phase_json(o, 1.0, *rate, 0, well))
+                    .object("adversarial", |o| phase_json(o, 1.0, *rate, mix.deadline_us, adv))
+                    .field(
+                        "well_p99_ratio_vs_1x",
+                        format_args!("{:.3}", adversarial_ratio.unwrap_or(0.0)),
+                    )
+                    .field("well_p99_ratio_gate", adversarial_gate);
+            }),
+            None => doc.field("adversarial", "null"),
+        };
+        doc.field("p99_served_us_0_8x", p99_08)
+            .field("p99_served_us_4x", p99_4x)
+            .field("p99_ratio_4x_vs_0_8x", format_args!("{p99_ratio:.3}"))
+            .field("p99_ratio_gate", ratio_gate)
+            .field("shed_rate_1x", format_args!("{shed_rate_1x:.4}"))
+            .field("unanswered_total", unanswered_total)
+            .field("server_stats", server_stats_json.trim_end());
+    });
     std::fs::write(&options.out, &json).expect("write BENCH_frontend.json");
     println!("\nwrote {}", options.out);
 

@@ -22,10 +22,9 @@
 //!
 //! Run with `cargo run --release -p ipg-bench --bin publish-scaling`.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use ipg::{IpgServer, IpgSession};
+use ipg::{json, IpgServer, IpgSession};
 use ipg_bench::{mean_max_us, synthetic_workload};
 
 struct Row {
@@ -163,31 +162,22 @@ fn main() {
     );
     println!("deep-fork edit latency growth: {deep_growth:.2}x (the cost the persistent store removes)");
 
-    let mut json = String::from(
-        "{\n  \"benchmark\": \"publish-scaling\",\n  \"workload\": \"synthetic-chain\",\n  \"rows\": [\n",
-    );
-    for (i, row) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"productions\": {}, \"states\": {}, \"chunks\": {}, \
-             \"persistent_mean_us\": {:.2}, \"persistent_max_us\": {:.2}, \
-             \"deep_fork_mean_us\": {:.2}, \"deep_fork_max_us\": {:.2}, \
-             \"shared_chunk_fraction\": {:.4}}}{}",
-            row.productions,
-            row.states,
-            row.chunks,
-            row.persistent_mean_us,
-            row.persistent_max_us,
-            row.deep_mean_us,
-            row.deep_max_us,
-            row.shared_fraction,
-            if i + 1 < rows.len() { "," } else { "" },
-        );
-    }
-    let _ = write!(
-        json,
-        "  ],\n  \"persistent_growth\": {persistent_growth:.3},\n  \"deep_fork_growth\": {deep_growth:.3}\n}}\n"
-    );
+    let json = json::object(|doc| {
+        doc.string("benchmark", "publish-scaling")
+            .string("workload", "synthetic-chain")
+            .objects("rows", &rows, |o, row| {
+                o.field("productions", row.productions)
+                    .field("states", row.states)
+                    .field("chunks", row.chunks)
+                    .field("persistent_mean_us", format_args!("{:.2}", row.persistent_mean_us))
+                    .field("persistent_max_us", format_args!("{:.2}", row.persistent_max_us))
+                    .field("deep_fork_mean_us", format_args!("{:.2}", row.deep_mean_us))
+                    .field("deep_fork_max_us", format_args!("{:.2}", row.deep_max_us))
+                    .field("shared_chunk_fraction", format_args!("{:.4}", row.shared_fraction));
+            })
+            .field("persistent_growth", format_args!("{persistent_growth:.3}"))
+            .field("deep_fork_growth", format_args!("{deep_growth:.3}"));
+    });
     std::fs::write("BENCH_publish_scaling.json", &json).expect("write BENCH_publish_scaling.json");
     println!("\nwrote BENCH_publish_scaling.json");
 

@@ -27,7 +27,7 @@
 
 use std::time::Instant;
 
-use ipg::{GrammarRegistry, IpgServer, LatencyHistogram};
+use ipg::{json, GrammarRegistry, IpgServer, LatencyHistogram};
 use ipg_grammar::modules::{GrammarModule, NamedSymbol};
 
 // ---------------------------------------------------------------------
@@ -271,17 +271,6 @@ fn run_churn(tenants: usize, rules: usize, requests: usize, seed: u64) -> ChurnR
 // Report
 // ---------------------------------------------------------------------
 
-fn histogram_json(h: &LatencyHistogram) -> String {
-    let (p50, p99, p999) = h.percentiles_us();
-    format!(
-        "{{\"count\": {}, \"mean_us\": {:.1}, \"p50_us\": {p50}, \"p99_us\": {p99}, \
-         \"p999_us\": {p999}, \"max_us\": {}}}",
-        h.count(),
-        h.mean_us(),
-        h.max_us()
-    )
-}
-
 fn main() {
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!("registry churn benchmark (host: {cores} core(s))");
@@ -333,39 +322,40 @@ fn main() {
     let bytes_per_tenant_budgeted = churn.resident_after / churn.tenants;
     let high_water_x = churn.high_water as f64 / churn.budget.max(1) as f64;
     let cold_over_warm = cold_p99 as f64 / warm_p50.max(1) as f64;
-    let json = format!(
-        "{{\n  \"benchmark\": \"registry_churn\",\n  \"host_cores\": {cores},\n  \
-         \"sharing\": {{\"base_rules\": 550, \"dialects\": {}, \"base_bytes\": {}, \
-         \"shared_total_bytes\": {}, \"independent_total_bytes\": {}, \
-         \"headroom_x\": {:.3}}},\n  \
-         \"churn\": {{\"tenants\": {}, \"rules_per_tenant\": 96, \"requests\": {}, \
-         \"unevicted_working_set_bytes\": {}, \"budget_bytes\": {}, \
-         \"budget_fraction\": 0.25, \"resident_high_water\": {}, \
-         \"high_water_over_budget\": {high_water_x:.3}, \"resident_after\": {}, \
-         \"bytes_per_tenant_unevicted\": {bytes_per_tenant_unevicted}, \
-         \"bytes_per_tenant_budgeted\": {bytes_per_tenant_budgeted}, \
-         \"chunks_evicted\": {}, \"chunks_relazified\": {}, \
-         \"latency_warm_us\": {}, \"latency_cold_us\": {}, \
-         \"cold_p99_over_warm_p50\": {cold_over_warm:.2}}},\n  \
-         \"equivalence\": {{\"checks\": {}, \"failures\": {}}}\n}}\n",
-        sharing.dialects,
-        sharing.base_bytes,
-        sharing.shared_total,
-        sharing.independent_total,
-        sharing.headroom,
-        churn.tenants,
-        churn.requests,
-        churn.unevicted_bytes,
-        churn.budget,
-        churn.high_water,
-        churn.resident_after,
-        churn.chunks_evicted,
-        churn.chunks_relazified,
-        histogram_json(&churn.warm),
-        histogram_json(&churn.cold),
-        churn.equivalence_checks,
-        churn.equivalence_failures,
-    );
+    let json = json::object(|doc| {
+        doc.string("benchmark", "registry_churn")
+            .field("host_cores", cores)
+            .object("sharing", |o| {
+                o.field("base_rules", 550)
+                    .field("dialects", sharing.dialects)
+                    .field("base_bytes", sharing.base_bytes)
+                    .field("shared_total_bytes", sharing.shared_total)
+                    .field("independent_total_bytes", sharing.independent_total)
+                    .field("headroom_x", format_args!("{:.3}", sharing.headroom));
+            })
+            .object("churn", |o| {
+                o.field("tenants", churn.tenants)
+                    .field("rules_per_tenant", 96)
+                    .field("requests", churn.requests)
+                    .field("unevicted_working_set_bytes", churn.unevicted_bytes)
+                    .field("budget_bytes", churn.budget)
+                    .field("budget_fraction", 0.25)
+                    .field("resident_high_water", churn.high_water)
+                    .field("high_water_over_budget", format_args!("{high_water_x:.3}"))
+                    .field("resident_after", churn.resident_after)
+                    .field("bytes_per_tenant_unevicted", bytes_per_tenant_unevicted)
+                    .field("bytes_per_tenant_budgeted", bytes_per_tenant_budgeted)
+                    .field("chunks_evicted", churn.chunks_evicted)
+                    .field("chunks_relazified", churn.chunks_relazified)
+                    .histogram("latency_warm_us", &churn.warm)
+                    .histogram("latency_cold_us", &churn.cold)
+                    .field("cold_p99_over_warm_p50", format_args!("{cold_over_warm:.2}"));
+            })
+            .object("equivalence", |o| {
+                o.field("checks", churn.equivalence_checks)
+                    .field("failures", churn.equivalence_failures);
+            });
+    });
     std::fs::write("BENCH_registry.json", &json).expect("write BENCH_registry.json");
     println!("\nwrote BENCH_registry.json");
 

@@ -27,12 +27,11 @@
 //! Run with `cargo run --release -p ipg-bench --bin serving`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use ipg::{GenStats, IpgServer, IpgSession};
+use ipg::{json, GenStats, IpgServer, IpgSession};
 use ipg_bench::{mean_max_us, wide_synthetic_workload, SdfWorkload};
 use ipg_grammar::Grammar;
 use ipg_lexer::Scanner;
@@ -748,34 +747,6 @@ fn main() {
         );
     }
 
-    // Hand-rolled JSON (the vendored serde stub has no serializer). The
-    // host's core count rides along in the header and per row, so trend
-    // consumers can tell real publication latency from scheduler noise.
-    let mut json = format!(
-        "{{\n  \"benchmark\": \"serving\",\n  \"workload\": \"fig7-sdf\",\n  \"host_cores\": {cores},\n  \"rows\": [\n"
-    );
-    for (i, row) in rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"scenario\": \"{}\", \"threads\": {}, \"requests\": {}, \"tokens\": {}, \
-             \"elapsed_s\": {:.6}, \"tokens_per_sec\": {:.1}, \"requests_per_sec\": {:.1}, \
-             \"modifications\": {}, \"edit_mean_us\": {:.2}, \"edit_max_us\": {:.2}, \
-             \"allocs_per_request\": {:.2}, \"scheduler_bound\": {}}}{}",
-            row.scenario,
-            row.threads,
-            row.requests,
-            row.tokens,
-            row.elapsed_s,
-            row.tokens_per_sec(),
-            row.requests_per_sec(),
-            row.modifications,
-            row.edit_mean_us,
-            row.edit_max_us,
-            row.allocs_per_request,
-            row.threads > cores,
-            if i + 1 < rows.len() { "," } else { "" },
-        );
-    }
     // The loaded-latency summary only considers configurations the host
     // can actually schedule in parallel (threads <= cores); oversubscribed
     // rows measure OS timeslicing, not epoch publication (see the printed
@@ -785,29 +756,42 @@ fn main() {
         .filter(|r| r.scenario == "modify-concurrent" && r.threads >= 1 && r.threads <= cores)
         .map(|r| r.edit_mean_us)
         .fold(0.0f64, f64::max);
-    let _ = write!(
-        json,
-        "  ],\n  \"warm_speedup_4_threads\": {:.3},\n  \"warm_speedup_8_threads\": {:.3},\n  \
-         \"warm_text_fused_speedup\": {fusion_speedup:.3},\n  \
-         \"warm_text_allocs_per_request\": {:.2},\n  \
-         \"scanner_dense_speedup\": {scanner_dense_speedup:.3},\n  \
-         \"scanner_cold_first_scan_us\": {:.1},\n  \"scanner_warm_scan_us\": {:.1},\n  \
-         \"scanner_cold_to_warm_ratio\": {scanner_cold_to_warm_ratio:.3},\n  \
-         \"cold_start_1_thread_s\": {:.3},\n  \
-         \"cold_start_speedup_4_threads\": {cold_start_speedup_4:.3},\n  \
-         \"resident_bytes\": {},\n  \"resident_high_water\": {},\n  \
-         \"modify_concurrent_idle_mean_us\": {:.2},\n  \"modify_concurrent_loaded_mean_us\": {:.2}\n}}\n",
-        warm4,
-        speedup("warm", 8),
-        fused.allocs_per_request,
-        scanner_cold_s * 1e6,
-        scanner_warm_s * 1e6,
-        cold_start_s(1),
-        scanner_counters.resident_bytes,
-        scanner_counters.resident_high_water,
-        idle_mean,
-        loaded_mean,
-    );
+    // The host's core count rides along in the header and per row, so
+    // trend consumers can tell real publication latency from scheduler
+    // noise.
+    let json = json::object(|doc| {
+        doc.string("benchmark", "serving")
+            .string("workload", "fig7-sdf")
+            .field("host_cores", cores)
+            .objects("rows", &rows, |o, row| {
+                o.string("scenario", row.scenario)
+                    .field("threads", row.threads)
+                    .field("requests", row.requests)
+                    .field("tokens", row.tokens)
+                    .field("elapsed_s", format_args!("{:.6}", row.elapsed_s))
+                    .field("tokens_per_sec", format_args!("{:.1}", row.tokens_per_sec()))
+                    .field("requests_per_sec", format_args!("{:.1}", row.requests_per_sec()))
+                    .field("modifications", row.modifications)
+                    .field("edit_mean_us", format_args!("{:.2}", row.edit_mean_us))
+                    .field("edit_max_us", format_args!("{:.2}", row.edit_max_us))
+                    .field("allocs_per_request", format_args!("{:.2}", row.allocs_per_request))
+                    .field("scheduler_bound", row.threads > cores);
+            })
+            .field("warm_speedup_4_threads", format_args!("{warm4:.3}"))
+            .field("warm_speedup_8_threads", format_args!("{:.3}", speedup("warm", 8)))
+            .field("warm_text_fused_speedup", format_args!("{fusion_speedup:.3}"))
+            .field("warm_text_allocs_per_request", format_args!("{:.2}", fused.allocs_per_request))
+            .field("scanner_dense_speedup", format_args!("{scanner_dense_speedup:.3}"))
+            .field("scanner_cold_first_scan_us", format_args!("{:.1}", scanner_cold_s * 1e6))
+            .field("scanner_warm_scan_us", format_args!("{:.1}", scanner_warm_s * 1e6))
+            .field("scanner_cold_to_warm_ratio", format_args!("{scanner_cold_to_warm_ratio:.3}"))
+            .field("cold_start_1_thread_s", format_args!("{:.3}", cold_start_s(1)))
+            .field("cold_start_speedup_4_threads", format_args!("{cold_start_speedup_4:.3}"))
+            .field("resident_bytes", scanner_counters.resident_bytes)
+            .field("resident_high_water", scanner_counters.resident_high_water)
+            .field("modify_concurrent_idle_mean_us", format_args!("{idle_mean:.2}"))
+            .field("modify_concurrent_loaded_mean_us", format_args!("{loaded_mean:.2}"));
+    });
     std::fs::write("BENCH_serving.json", &json).expect("write BENCH_serving.json");
     println!("\nwrote BENCH_serving.json");
 

@@ -28,7 +28,7 @@ use crate::workload::{PreLexedInput, SdfWorkload};
 pub enum GeneratorKind {
     /// LALR(1) batch generation, deterministic parsing where possible —
     /// the stand-in for Yacc (§7; the C-compile/link share of the paper's
-    /// Yacc column is not modelled, see DESIGN.md).
+    /// Yacc column is not modelled: there is no C toolchain step to time).
     Yacc,
     /// Eager LR(0) generation, Tomita parsing — the paper's PG.
     Pg,

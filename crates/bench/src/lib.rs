@@ -9,8 +9,8 @@
 //!   `fig5_lazy`, `fig6_incremental`, `lazy_fraction`, `fig7_report`)
 //!   that print the paper's tables and figures from fresh measurements.
 //!
-//! See DESIGN.md (per-experiment index) and EXPERIMENTS.md (recorded
-//! results) at the repository root.
+//! Each binary prints its own results; the committed `BENCH_*.json` files
+//! at the repository root record the gated benches' last runs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -737,6 +737,19 @@ impl Clone for ItemSetGraph {
     }
 }
 
+/// Derived totals of the graph's counters.
+impl GenStats {
+    /// Total number of item sets reclaimed by any garbage collector.
+    pub fn total_collected(&self) -> usize {
+        self.nodes_collected + self.nodes_swept
+    }
+
+    /// Total number of expansion operations (lazy + re-expansions).
+    pub fn total_expansions(&self) -> usize {
+        self.expansions + self.re_expansions
+    }
+}
+
 impl ItemSetGraph {
     /// The paper's lazy `GENERATE-PARSER` (§5.1): creates only the start
     /// item set, as an initial set of items.

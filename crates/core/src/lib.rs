@@ -29,7 +29,8 @@
 //! | [`graph`] | §4–§6 | the item-set graph, `EXPAND`, `MODIFY`, GC, and the dense [`ActionRow`] cache shadowing complete item sets |
 //! | [`tables`] | §5.1 | lazy `ACTION`/`GOTO` as `ipg_lr::ParserTables` — borrow-based, allocation-free on the steady-state path |
 //! | [`session`] | §1, §8 | the interactive language-definition facade |
-//! | [`stats`] | §5.2, §7 | work counters and coverage measurements |
+//! | [`stats`] | §5.2, §7 | work counters (one table declares each) and coverage measurements |
+//! | [`json`] | — | the JSON writer of `STATS` and the bench reports |
 //!
 //! ## Quick start
 //!
@@ -91,6 +92,7 @@
 
 pub mod document;
 pub mod graph;
+pub mod json;
 pub mod registry;
 pub mod server;
 pub mod session;
@@ -108,5 +110,5 @@ pub use server::{
     GrammarEpoch, IpgServer, PooledParse, Request, RequestCtx, ServerError, ServerStats,
 };
 pub use session::{IpgSession, SessionError};
-pub use stats::{GenStats, GraphSize, LatencyHistogram, HISTOGRAM_BUCKETS};
+pub use stats::{Counter, CounterValue, GenStats, GraphSize, LatencyHistogram, HISTOGRAM_BUCKETS};
 pub use tables::{LazyTables, StaleGraphError};

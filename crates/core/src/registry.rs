@@ -337,10 +337,7 @@ impl GrammarRegistry {
                     .len()
                     .saturating_sub(baseline);
                 if rebuilt > 0 {
-                    tenant.server.note(&GenStats {
-                        chunks_relazified: rebuilt,
-                        ..GenStats::default()
-                    });
+                    tenant.server.note(|s| s.chunks_relazified += rebuilt);
                 }
             }
         }
@@ -411,17 +408,29 @@ impl GrammarRegistry {
     /// **deduped** registry totals — per-tenant gauges double-count
     /// chunks shared between dialect forks; the registry's don't.
     pub fn stats(&self) -> GenStats {
+        self.tenant_stats().1
+    }
+
+    /// Each tenant's merged server stats as `(id, name, stats)`, in id
+    /// order, and the registry-wide totals of [`GrammarRegistry::stats`]
+    /// folded from the same reads.
+    pub fn tenant_stats(&self) -> (Vec<(u32, String, GenStats)>, GenStats) {
         let tenants: Vec<Arc<Tenant>> = self.inner.read().unwrap().tenants.clone();
+        let rows: Vec<(u32, String, GenStats)> = tenants
+            .iter()
+            .enumerate()
+            .map(|(id, t)| (id as u32, t.name.clone(), t.server.stats().merged()))
+            .collect();
         let mut total = GenStats::default();
-        for tenant in &tenants {
-            total.merge(&tenant.server.stats().merged());
+        for (_, _, stats) in &rows {
+            total.merge(stats);
         }
         let resident = self.resident_bytes();
         self.high_water.fetch_max(resident, Ordering::Relaxed);
         total.resident_bytes = resident;
         total.resident_high_water = self.high_water.load(Ordering::Relaxed);
         total.tenants_active = tenants.len();
-        total
+        (rows, total)
     }
 }
 

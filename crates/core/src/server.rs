@@ -623,11 +623,6 @@ impl ServerStats {
         self.per_thread.iter().map(|(_, s)| s.parses).sum()
     }
 
-    /// Total `ACTION` queries across all threads.
-    pub fn total_action_calls(&self) -> usize {
-        self.per_thread.iter().map(|(_, s)| s.action_calls).sum()
-    }
-
     /// One [`GenStats`] folding the graph counters and every per-thread
     /// entry together through [`GenStats::merge`]: counters sum, latency
     /// histograms merge exactly, high-water marks take the maximum. This
@@ -636,28 +631,6 @@ impl ServerStats {
         let mut total = self.graph;
         for (_, stats) in &self.per_thread {
             total.merge(stats);
-        }
-        total
-    }
-
-    /// The effective-parallelism high-water mark across all threads: the
-    /// largest worker count [`IpgServer::parse_many`] (or the network
-    /// frontend's pool) actually ran with, after clamping — as opposed to
-    /// whatever was configured.
-    pub fn effective_workers(&self) -> usize {
-        self.per_thread
-            .iter()
-            .map(|(_, s)| s.effective_workers)
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// The merged service-latency histogram across all threads (exact:
-    /// bucket counts add, the maximum is the true global maximum).
-    pub fn latency(&self) -> crate::stats::LatencyHistogram {
-        let mut total = crate::stats::LatencyHistogram::default();
-        for (_, stats) in &self.per_thread {
-            total.merge(&stats.latency);
         }
         total
     }
@@ -949,40 +922,41 @@ impl IpgServer {
         checkout: Option<bool>,
     ) -> Result<ParseOutcome, ServerError> {
         let tables = epoch.session.tables();
-        let mut delta = GenStats::default();
         let result = work.and_then(|work| {
             let outcome = Self::run_gss(epoch, &tables, ctx, work, budget)?;
-            if let Some(reason) = outcome.exhausted() {
-                return Err(ServerError::Exhausted(reason));
+            match outcome.exhausted() {
+                Some(reason) => Err(ServerError::Exhausted(reason)),
+                None => Ok((outcome, work)),
             }
-            match work {
-                Work::Request(_) => {}
-                Work::Record { rebuild } => delta.reparse_full = usize::from(rebuild),
-                Work::Edit { edit, relexed, .. } => {
-                    delta.reparse_incremental = 1;
-                    delta.tokens_relexed = relexed;
+        });
+        let (action_calls, goto_calls) = tables.query_counts();
+        let latency = started.elapsed();
+        self.note(|s| {
+            s.parses += 1;
+            s.action_calls += action_calls;
+            s.goto_calls += goto_calls;
+            if let Some(reused) = checkout {
+                s.ctx_reused += usize::from(reused);
+                s.ctx_fresh += usize::from(!reused);
+            }
+            match &result {
+                Ok((_, Work::Request(_))) => {}
+                Ok((_, Work::Record { rebuild })) => s.reparse_full += usize::from(*rebuild),
+                Ok((outcome, Work::Edit { edit, relexed, .. })) => {
+                    s.reparse_incremental += 1;
+                    s.tokens_relexed += relexed;
                     if edit.is_some() {
-                        delta.states_rerun = outcome.stats().nodes;
-                        delta.reparse_converged = usize::from(ctx.glr.converged_at().is_some());
+                        s.states_rerun += outcome.stats().nodes;
+                        s.reparse_converged += usize::from(ctx.glr.converged_at().is_some());
                     }
                 }
+                Err(ServerError::Exhausted(ExhaustReason::Deadline)) => s.parses_cancelled += 1,
+                Err(ServerError::Exhausted(_)) => s.parses_exhausted += 1,
+                Err(_) => {}
             }
-            Ok(outcome)
+            s.latency.record(latency);
         });
-        (delta.action_calls, delta.goto_calls) = tables.query_counts();
-        delta.parses = 1;
-        if let Some(reused) = checkout {
-            delta.ctx_reused = usize::from(reused);
-            delta.ctx_fresh = usize::from(!reused);
-        }
-        match result {
-            Err(ServerError::Exhausted(ExhaustReason::Deadline)) => delta.parses_cancelled = 1,
-            Err(ServerError::Exhausted(_)) => delta.parses_exhausted = 1,
-            _ => {}
-        }
-        delta.latency.record(started.elapsed());
-        self.note(&delta);
-        result
+        result.map(|(outcome, _)| outcome)
     }
 
     /// The GSS run of one piece of work. Text is **fused**: scanner
@@ -1046,10 +1020,7 @@ impl IpgServer {
     /// fresh) and counts `ctx_quarantined`.
     pub(crate) fn quarantine_ctx(&self, ctx: Box<RequestCtx>) {
         drop(ctx);
-        self.note(&GenStats {
-            ctx_quarantined: 1,
-            ..GenStats::default()
-        });
+        self.note(|s| s.ctx_quarantined += 1);
     }
 
     /// Parses a token sentence against the shared graph, unbudgeted.
@@ -1264,10 +1235,7 @@ impl IpgServer {
         drop(writer);
         self.note_epochs(1, reclaimed);
         let evicted = warm_chunks.saturating_sub(cold_chunks);
-        self.note(&GenStats {
-            chunks_evicted: evicted,
-            ..GenStats::default()
-        });
+        self.note(|s| s.chunks_evicted += evicted);
         evicted
     }
 
@@ -1316,14 +1284,11 @@ impl IpgServer {
     /// `threads` is a *request*: it is clamped to the number of requests
     /// (and to at least 1), and the count actually used is surfaced as the
     /// max-merged [`GenStats::effective_workers`] high-water mark — read
-    /// it back through [`ServerStats::effective_workers`] — so callers and
+    /// it back through [`ServerStats::merged`] — so callers and
     /// benches report real, not configured, parallelism.
     pub fn parse_many(&self, requests: &[Vec<SymbolId>], threads: usize) -> Vec<GssParseResult> {
         let threads = threads.max(1).min(requests.len().max(1));
-        self.note(&GenStats {
-            effective_workers: threads,
-            ..GenStats::default()
-        });
+        self.note(|s| s.effective_workers = s.effective_workers.max(threads));
         let queue = AtomicUsize::new(0);
         let mut results: Vec<Option<GssParseResult>> = vec![None; requests.len()];
         thread::scope(|scope| {
@@ -1409,22 +1374,19 @@ impl IpgServer {
         if retired == 0 && reclaimed == 0 {
             return;
         }
-        self.note(&GenStats {
-            epochs_published: retired,
-            epochs_retired: retired,
-            epochs_reclaimed: reclaimed,
-            ..GenStats::default()
+        self.note(|s| {
+            s.epochs_published += retired;
+            s.epochs_retired += retired;
+            s.epochs_reclaimed += reclaimed;
         });
     }
 
-    /// Folds a delta into the calling thread's stats entry (or, past the
-    /// tracking cap, the overflow aggregate) through [`GenStats::merge`] —
-    /// one merge function for both paths, so the overflow aggregate keeps
-    /// exact histograms and max-merged high-water marks just like a
-    /// tracked entry does.
-    pub(crate) fn note(&self, delta: &GenStats) {
-        let mut per_thread = self.per_thread.lock().unwrap();
-        Self::entry_mut(&mut per_thread).merge(delta);
+    /// Records into the calling thread's stats entry (or, past the
+    /// tracking cap, the overflow aggregate): `f` adds to the counters in
+    /// place, as the frontend's recording does, so a request pays for the
+    /// counters it touches and no more.
+    pub(crate) fn note(&self, f: impl FnOnce(&mut GenStats)) {
+        f(Self::entry_mut(&mut self.per_thread.lock().unwrap()));
     }
 
     fn entry_mut(per_thread: &mut PerThreadStats) -> &mut GenStats {
@@ -1475,7 +1437,7 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.total_parses(), 16);
         assert!(!stats.per_thread.is_empty());
-        assert!(stats.total_action_calls() > 0);
+        assert!(stats.merged().action_calls > 0);
         assert!(stats.graph.expansions > 0);
     }
 
@@ -1658,7 +1620,7 @@ mod tests {
         // the merged view accounts for every thread's samples.
         assert_eq!(overflow.latency.count(), 8);
         assert!(overflow.latency.max_us() <= stats.merged().latency.max_us());
-        assert_eq!(stats.latency().count() as usize, total);
+        assert_eq!(stats.merged().latency.count() as usize, total);
         assert_eq!(stats.merged().parses, total);
     }
 
@@ -1669,17 +1631,17 @@ mod tests {
         // 8 threads requested, but only 2 requests exist: the clamp to the
         // request count must be visible, not silently applied.
         server.parse_many(&requests, 8);
-        assert_eq!(server.stats().effective_workers(), 2);
+        assert_eq!(server.stats().merged().effective_workers, 2);
         // A larger batch raises the high-water mark; a later smaller batch
         // does not lower it (max-merge, not last-write).
         let many = vec![server.tokens("true and true").unwrap(); 16];
         server.parse_many(&many, 4);
-        assert_eq!(server.stats().effective_workers(), 4);
+        assert_eq!(server.stats().merged().effective_workers, 4);
         server.parse_many(&requests, 8);
-        assert_eq!(server.stats().effective_workers(), 4);
+        assert_eq!(server.stats().merged().effective_workers, 4);
         // Zero threads and empty batches degrade to 1 worker, visibly.
         server.parse_many(&requests, 0);
-        assert_eq!(server.stats().effective_workers(), 4);
+        assert_eq!(server.stats().merged().effective_workers, 4);
     }
 
     #[test]
@@ -1689,7 +1651,7 @@ mod tests {
         for _ in 0..5 {
             assert!(server.parse(&tokens).accepted);
         }
-        let latency = server.stats().latency();
+        let latency = server.stats().merged().latency;
         assert_eq!(latency.count(), 5);
         // Quantiles are served from the merged histogram without panicking
         // and respect ordering.

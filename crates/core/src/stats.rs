@@ -70,8 +70,8 @@ impl LatencyHistogram {
     }
 
     /// Records one latency sample.
-    pub fn record(&mut self, latency: Duration) {
-        let us = latency.as_micros().min(u64::MAX as u128) as u64;
+    pub fn record(&mut self, sample: Duration) {
+        let us = sample.as_micros().min(u64::MAX as u128) as u64;
         self.counts[Self::bucket_index(us)] += 1;
         self.count += 1;
         self.sum_us = self.sum_us.saturating_add(us);
@@ -139,391 +139,280 @@ impl LatencyHistogram {
     }
 }
 
-/// Work counters of an item-set graph. All counters are cumulative over the
-/// lifetime of the graph (they are not reset by grammar modifications).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct GenStats {
+/// The value of one counter, read off a [`GenStats`] and tagged with how
+/// [`GenStats::merge`] folds it.
+#[derive(Clone, Copy, Debug)]
+pub enum CounterValue<'a> {
+    /// A cumulative count: summed.
+    Sum(usize),
+    /// A high-water mark or a point-in-time gauge: max-merged. Summing
+    /// per-thread copies would fabricate depths, thread counts or bytes
+    /// nobody observed (gauges of shared state would double-count it).
+    Max(usize),
+    /// A latency histogram in microseconds: merged bucket-wise, exact for
+    /// every quantile.
+    Histogram(&'a LatencyHistogram),
+}
+
+impl CounterValue<'_> {
+    /// Whether nothing was recorded.
+    fn is_zero(&self) -> bool {
+        match self {
+            CounterValue::Sum(n) | CounterValue::Max(n) => *n == 0,
+            CounterValue::Histogram(h) => h.count() == 0,
+        }
+    }
+}
+
+/// One row of the counter table with its value in one [`GenStats`] (see
+/// [`GenStats::counters`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Counter<'a> {
+    /// The field name, which is also the counter's JSON key (with a `_us`
+    /// suffix for histograms, whose values are microseconds).
+    pub name: &'static str,
+    /// The `Display` label.
+    pub label: &'static str,
+    /// The current value.
+    pub value: CounterValue<'a>,
+}
+
+/// Declares the counter table: each row is `doc, name: kind = "label"`.
+/// One row generates the `GenStats` field, its merge, its `Display` line
+/// and its JSON key (through [`GenStats::counters`]).
+macro_rules! counters {
+    (@type Histogram) => { LatencyHistogram };
+    (@type $kind:ident) => { usize };
+    (@merge Sum, $mine:expr, $theirs:expr) => { $mine += $theirs };
+    (@merge Max, $mine:expr, $theirs:expr) => { $mine = $mine.max($theirs) };
+    (@merge Histogram, $mine:expr, $theirs:expr) => { $mine.merge(&$theirs) };
+    (@value Histogram, $value:expr) => { CounterValue::Histogram(&$value) };
+    (@value $kind:ident, $value:expr) => { CounterValue::$kind($value) };
+    (@fill Histogram, $value:expr, $n:expr) => {
+        $value.record(Duration::from_micros($n as u64))
+    };
+    (@fill $kind:ident, $value:expr, $n:expr) => { $value = $n };
+    ($($(#[$doc:meta])* $name:ident: $kind:ident = $label:literal,)*) => {
+        /// Work counters, shared by the item-set graph, the serving layer,
+        /// the registry and the network frontend; each layer fills the
+        /// rows it owns and leaves the rest zero. Graph counters are
+        /// cumulative over the lifetime of the graph (grammar
+        /// modifications do not reset them).
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct GenStats {
+            $($(#[$doc])* pub $name: counters!(@type $kind),)*
+        }
+
+        impl GenStats {
+            /// Folds `other` into `self` by each counter's kind:
+            /// counts sum, high-water marks and gauges take the maximum,
+            /// histograms merge bucket-wise. Every aggregation (per-thread
+            /// entries, the overflow aggregate past the thread cap,
+            /// [`crate::ServerStats::merged`], the registry's totals) goes
+            /// through this one function, so no path can diverge.
+            pub fn merge(&mut self, other: &GenStats) {
+                $(counters!(@merge $kind, self.$name, other.$name);)*
+            }
+
+            /// Every counter, in table order, with its value here.
+            pub fn counters(&self) -> impl Iterator<Item = Counter<'_>> {
+                [$(Counter {
+                    name: stringify!($name),
+                    label: $label,
+                    value: counters!(@value $kind, self.$name),
+                },)*]
+                .into_iter()
+            }
+
+            /// Stats with every counter at `n` (histograms hold one
+            /// `n` µs sample), for tests that drive every row.
+            #[cfg(test)]
+            fn filled(n: usize) -> GenStats {
+                let mut stats = GenStats::default();
+                $(counters!(@fill $kind, stats.$name, n);)*
+                stats
+            }
+        }
+    };
+}
+
+counters! {
+    // --- the item-set graph (§5, §6) ---
     /// Item sets created (initial or otherwise).
-    pub nodes_created: usize,
+    nodes_created: Sum = "item sets created",
     /// `EXPAND` operations on initial item sets.
-    pub expansions: usize,
+    expansions: Sum = "expansions",
     /// `RE-EXPAND` operations on dirty item sets.
-    pub re_expansions: usize,
+    re_expansions: Sum = "re-expansions",
     /// Closures computed (one per (re-)expansion).
-    pub closures: usize,
+    closures: Sum = "closures",
     /// Calls to `ACTION` (through the lazy tables).
-    pub action_calls: usize,
+    action_calls: Sum = "ACTION calls",
     /// Calls to `GOTO` (through the lazy tables).
-    pub goto_calls: usize,
+    goto_calls: Sum = "GOTO calls",
     /// Grammar modifications processed (`ADD-RULE` + `DELETE-RULE`).
-    pub modifications: usize,
+    modifications: Sum = "grammar modifications",
     /// Item sets invalidated by modifications (made initial/dirty).
-    pub invalidations: usize,
+    invalidations: Sum = "item sets invalidated",
     /// Item sets reclaimed by reference-count garbage collection.
-    pub nodes_collected: usize,
+    nodes_collected: Sum = "collected (refcount)",
     /// Item sets reclaimed by mark-and-sweep collection.
-    pub nodes_swept: usize,
+    nodes_swept: Sum = "collected (sweep)",
     /// Mark-and-sweep passes run.
-    pub sweeps: usize,
+    sweeps: Sum = "sweep passes",
     /// Dense action rows built (once per node per structural change; a
     /// steady-state parse builds none).
-    pub rows_built: usize,
-    /// Parses served (counted by the serving layer's per-thread
-    /// aggregation; zero for counters read directly off a graph).
-    pub parses: usize,
+    rows_built: Sum = "action rows built",
+    // --- the serving layer ---
+    /// Requests served: parses by the serving layer's per-thread
+    /// aggregation, requests executed by the network frontend. Zero for
+    /// counters read directly off a graph.
+    parses: Sum = "parses served",
     /// Grammar epochs published by the serving layer (`MODIFY`, scanner
     /// changes, GC — each builds a successor table state and publishes it
     /// without draining in-flight parses). Zero for counters read
     /// directly off a graph.
-    pub epochs_published: usize,
+    epochs_published: Sum = "epochs published",
     /// Epochs retired: replaced as current but kept alive until their
     /// last pinned reader left.
-    pub epochs_retired: usize,
+    epochs_retired: Sum = "epochs retired",
     /// Retired epochs actually reclaimed (their item-set storage, dense
     /// rows and DFA snapshots freed) by the deferred sweep that runs once
     /// the epoch's last reader leaves.
-    pub epochs_reclaimed: usize,
+    epochs_reclaimed: Sum = "epochs reclaimed",
     /// Storage chunks of the persistent item-set store copied on write
     /// because they were still shared with another fork (epoch) — the
     /// observable cost of structural sharing: a `MODIFY` publication pays
     /// one of these per chunk holding an invalidated state, instead of a
     /// deep copy of the whole graph.
-    pub chunks_cowed: usize,
+    chunks_cowed: Sum = "chunks copied (COW)",
     /// Lazy-DFA states carried over across lexical definition changes
     /// instead of being rebuilt from scratch (reported by the serving
     /// layer from the current epoch's scanner; zero for counters read
     /// directly off a graph or for servers without a scanner).
-    pub dfa_states_carried: usize,
+    dfa_states_carried: Sum = "DFA states carried",
     /// Requests served from a recycled per-thread parse context (all
     /// scratch — GSS pools, forest arena, scan buffer — reused; the warm,
     /// allocation-free path). Counted by the serving layer.
-    pub ctx_reused: usize,
+    ctx_reused: Sum = "contexts recycled",
     /// Requests that had to build a fresh parse context (first request of
-    /// a thread, or a nested checkout). Counted by the serving layer.
-    pub ctx_fresh: usize,
+    /// a thread, a nested checkout, or the one after a quarantine).
+    /// Counted by the serving layer.
+    ctx_fresh: Sum = "contexts built",
     /// Service-latency histogram of served requests (one sample per
-    /// `parse*`/`recognize` in the serving layer; the network frontend
-    /// records its end-to-end admit→reply latencies into its own copy).
-    /// Merged exactly across threads — see [`GenStats::merge`].
-    pub latency: LatencyHistogram,
+    /// request in the serving layer; the network frontend records its
+    /// end-to-end admit→reply latencies into its own copy).
+    latency: Histogram = "latency (µs)",
+    // --- the network frontend ---
     /// Requests shed with an immediate `OVERLOADED` reply because the
-    /// admission queue was full. Counted by the network frontend.
-    pub shed_overload: usize,
+    /// admission queue was full.
+    shed_overload: Sum = "shed (overloaded)",
     /// Requests shed with `DEADLINE_EXCEEDED` because their deadline had
     /// already passed at dequeue or at epoch-pin time.
-    pub shed_deadline: usize,
+    shed_deadline: Sum = "shed (deadline)",
     /// Requests shed with `SHUTTING_DOWN` during graceful drain.
-    pub shed_shutdown: usize,
+    shed_shutdown: Sum = "shed (shutting down)",
     /// Frames rejected as malformed (bad length, unknown verb, garbage) —
     /// each also poisons exactly the connection that sent it.
-    pub rejected_malformed: usize,
+    rejected_malformed: Sum = "malformed frames",
     /// Connections dropped by slow-client protection: a read or write on
     /// the socket exceeded its timeout mid-frame.
-    pub io_timeouts: usize,
-    /// **High-water mark** (max-merged, not summed): the deepest the
-    /// admission queue ever got.
-    pub queue_depth_high_water: usize,
-    /// **High-water mark** (max-merged, not summed): the largest number of
-    /// worker threads that actually ran concurrently — the *effective*
-    /// parallelism. [`crate::IpgServer::parse_many`] records the worker
-    /// count it really used after clamping to the request count, so
-    /// callers and benches can see configured vs actual parallelism; the
-    /// network frontend records its worker-pool size.
-    pub effective_workers: usize,
-    /// Scanner DFA state rows initialised (mirrors the scanner's
-    /// `DfaStats::dense_rows_built`; zero for servers without a scanner).
-    pub dense_rows_built: usize,
-    /// ASCII bytes scanned through the byte-class table (mirrors
-    /// `DfaStats::dense_bytes`).
-    pub dense_bytes: usize,
-    /// Characters swallowed by the scanner's self-transition skip loop
-    /// (mirrors `DfaStats::skip_loop_bytes`).
-    pub skip_loop_bytes: usize,
-    /// **High-water mark** (max-merged, not summed): the widest worker
-    /// fan-out any parallel warm ([`crate::IpgSession::expand_all_parallel`])
-    /// was asked for on this graph.
-    pub warm_threads_used: usize,
+    io_timeouts: Sum = "slow-client timeouts",
+    /// **High-water mark**: the deepest the admission queue ever got.
+    queue_depth_high_water: Max = "queue depth (max)",
+    /// **High-water mark**: the largest number of worker threads that
+    /// actually ran concurrently — the *effective* parallelism.
+    /// [`crate::IpgServer::parse_many`] records the worker count it really
+    /// used after clamping to the request count; the network frontend
+    /// records its worker-pool size.
+    effective_workers: Max = "effective workers",
+    // --- the scanner (mirrors of its `DfaStats`; zero without one) ---
+    /// Scanner DFA state rows initialised.
+    dense_rows_built: Sum = "dense rows built",
+    /// ASCII bytes scanned through the byte-class table.
+    dense_bytes: Sum = "dense bytes scanned",
+    /// Characters swallowed by the scanner's self-transition skip loop.
+    skip_loop_bytes: Sum = "skip-loop bytes",
+    // --- parallel warms ---
+    /// **High-water mark**: the widest worker fan-out any parallel warm
+    /// ([`crate::IpgSession::expand_all_parallel`]) was asked for on this
+    /// graph.
+    warm_threads_used: Max = "warm threads used",
     /// Frontier batches committed by (serial or parallel) full warms: one
     /// per batch-synchronous expansion round.
-    pub warm_batches_published: usize,
+    warm_batches_published: Sum = "warm batches",
+    // --- document sessions ---
     /// Document edits served incrementally (bounded re-lex + GSS resume
     /// from the damaged frontier).
-    pub reparse_incremental: usize,
+    reparse_incremental: Sum = "reparse incremental",
     /// Document edits that fell back to a full re-lex + re-parse (stale
     /// pinned epoch, or a session desynchronised by a scan error).
-    pub reparse_full: usize,
+    reparse_full: Sum = "reparse full",
     /// Token records actually re-scanned by incremental edits, each a
     /// token with its leading layout folded in (a re-scanned final record
     /// of trailing layout counts too; retained and shifted records do
     /// not).
-    pub tokens_relexed: usize,
+    tokens_relexed: Sum = "tokens re-lexed",
     /// GSS nodes re-created by incremental re-parses — the re-run portion
     /// of the graph (a cold parse would have built the whole graph), up to
     /// the convergence point when the re-run converged.
-    pub states_rerun: usize,
+    states_rerun: Sum = "GSS states re-run",
     /// Incremental re-parses whose re-run converged with the recorded
     /// parse before the end of the document and kept its suffix.
-    pub reparse_converged: usize,
-    /// **Gauge** (max-merged, not summed): modeled resident bytes of the
-    /// derived parser state — node chunks, published snapshot chunks,
-    /// grammar rule arena and DFA row chunks — sampled from the
-    /// per-chunk accounting at stats time. A registry overwrites this
-    /// with its cross-tenant *deduplicated* total (shared chunks counted
-    /// once).
-    pub resident_bytes: usize,
-    /// **High-water mark** (max-merged): the largest `resident_bytes`
-    /// observed at any sampling point (every stats read, and every
-    /// registry budget-enforcement pass).
-    pub resident_high_water: usize,
+    reparse_converged: Sum = "reparse converged",
+    // --- residency and the registry ---
+    /// **Gauge**: modeled resident bytes of the derived parser state —
+    /// node chunks, published snapshot chunks, grammar rule arena and DFA
+    /// row chunks — sampled from the per-chunk accounting at stats time.
+    /// A registry overwrites this with its cross-tenant *deduplicated*
+    /// total (shared chunks counted once).
+    resident_bytes: Max = "resident bytes",
+    /// **High-water mark**: the largest resident-bytes gauge observed at
+    /// any sampling point (every stats read, and every registry
+    /// budget-enforcement pass).
+    resident_high_water: Max = "resident high water",
     /// Chunks of derived state (node chunks, snapshot chunks, DFA row
     /// chunks) discarded by registry eviction / re-lazification.
-    pub chunks_evicted: usize,
+    chunks_evicted: Sum = "chunks evicted",
     /// Chunks rebuilt on demand by the lazy expander after the tenant
     /// holding them was evicted and then retouched.
-    pub chunks_relazified: usize,
-    /// **Gauge** (max-merged): tenants currently attached and not evicted
-    /// in the owning [`crate::GrammarRegistry`]; zero outside a registry.
-    pub tenants_active: usize,
+    chunks_relazified: Sum = "chunks re-lazified",
+    /// **Gauge**: tenants attached to the owning
+    /// [`crate::GrammarRegistry`]; zero outside a registry.
+    tenants_active: Max = "tenants active",
+    // --- containment ---
     /// Parses cut off mid-flight because their wall-clock deadline expired
     /// (cooperative cancellation — the budget's `Deadline` axis), plus
     /// requests answered `CANCELLED` after an explicit client cancel.
-    pub parses_cancelled: usize,
+    parses_cancelled: Sum = "parses cancelled",
     /// Parses cut off mid-flight by a resource cap (step fuel, GSS-pool or
     /// forest-arena byte caps) — answered `RESOURCE_EXHAUSTED` on the wire.
-    pub parses_exhausted: usize,
+    parses_exhausted: Sum = "parses exhausted",
     /// Request contexts dropped instead of recycled: a budget-killed or
     /// panicking parse leaves its pools in an untrusted (possibly
     /// cap-sized) state, so the context is quarantined and the next
-    /// checkout builds a fresh one (`ctx_fresh`).
-    pub ctx_quarantined: usize,
+    /// checkout builds a fresh one.
+    ctx_quarantined: Sum = "contexts quarantined",
     /// Worker-thread panics caught at the request boundary
     /// (`catch_unwind`): the request is answered `ERROR`, the context is
     /// quarantined, and the worker keeps serving.
-    pub worker_panics: usize,
+    worker_panics: Sum = "worker panics caught",
 }
 
-impl GenStats {
-    /// Total number of item sets reclaimed by any garbage collector.
-    pub fn total_collected(&self) -> usize {
-        self.nodes_collected + self.nodes_swept
-    }
-
-    /// Total number of expansion operations (lazy + re-expansions).
-    pub fn total_expansions(&self) -> usize {
-        self.expansions + self.re_expansions
-    }
-
-    /// Total requests shed without parsing (overload + deadline + drain).
-    pub fn total_shed(&self) -> usize {
-        self.shed_overload + self.shed_deadline + self.shed_shutdown
-    }
-
-    /// Folds `other` into `self`, field-aware and **non-lossy**: plain
-    /// counters are summed, the latency histogram is merged bucket-wise
-    /// (exact for every quantile), and high-water fields
-    /// (`queue_depth_high_water`, `effective_workers`, the histogram's
-    /// max) take the maximum — summing them would fabricate depths and
-    /// thread counts nobody ever observed. Every aggregation in the
-    /// serving layer (per-thread map, the bounded map's overflow
-    /// aggregate, [`crate::ServerStats`] totals) goes through this one
-    /// function, so the overflow path cannot silently diverge from the
-    /// tracked path.
-    pub fn merge(&mut self, other: &GenStats) {
-        let GenStats {
-            nodes_created,
-            expansions,
-            re_expansions,
-            closures,
-            action_calls,
-            goto_calls,
-            modifications,
-            invalidations,
-            nodes_collected,
-            nodes_swept,
-            sweeps,
-            rows_built,
-            parses,
-            epochs_published,
-            epochs_retired,
-            epochs_reclaimed,
-            chunks_cowed,
-            dfa_states_carried,
-            ctx_reused,
-            ctx_fresh,
-            latency,
-            shed_overload,
-            shed_deadline,
-            shed_shutdown,
-            rejected_malformed,
-            io_timeouts,
-            queue_depth_high_water,
-            effective_workers,
-            dense_rows_built,
-            dense_bytes,
-            skip_loop_bytes,
-            warm_threads_used,
-            warm_batches_published,
-            reparse_incremental,
-            reparse_full,
-            tokens_relexed,
-            states_rerun,
-            reparse_converged,
-            resident_bytes,
-            resident_high_water,
-            chunks_evicted,
-            chunks_relazified,
-            tenants_active,
-            parses_cancelled,
-            parses_exhausted,
-            ctx_quarantined,
-            worker_panics,
-        } = other;
-        self.nodes_created += nodes_created;
-        self.expansions += expansions;
-        self.re_expansions += re_expansions;
-        self.closures += closures;
-        self.action_calls += action_calls;
-        self.goto_calls += goto_calls;
-        self.modifications += modifications;
-        self.invalidations += invalidations;
-        self.nodes_collected += nodes_collected;
-        self.nodes_swept += nodes_swept;
-        self.sweeps += sweeps;
-        self.rows_built += rows_built;
-        self.parses += parses;
-        self.epochs_published += epochs_published;
-        self.epochs_retired += epochs_retired;
-        self.epochs_reclaimed += epochs_reclaimed;
-        self.chunks_cowed += chunks_cowed;
-        self.dfa_states_carried += dfa_states_carried;
-        self.ctx_reused += ctx_reused;
-        self.ctx_fresh += ctx_fresh;
-        self.latency.merge(latency);
-        self.shed_overload += shed_overload;
-        self.shed_deadline += shed_deadline;
-        self.shed_shutdown += shed_shutdown;
-        self.rejected_malformed += rejected_malformed;
-        self.io_timeouts += io_timeouts;
-        self.queue_depth_high_water = self.queue_depth_high_water.max(*queue_depth_high_water);
-        self.effective_workers = self.effective_workers.max(*effective_workers);
-        self.dense_rows_built += dense_rows_built;
-        self.dense_bytes += dense_bytes;
-        self.skip_loop_bytes += skip_loop_bytes;
-        self.warm_threads_used = self.warm_threads_used.max(*warm_threads_used);
-        self.warm_batches_published += warm_batches_published;
-        self.reparse_incremental += reparse_incremental;
-        self.reparse_full += reparse_full;
-        self.tokens_relexed += tokens_relexed;
-        self.states_rerun += states_rerun;
-        self.reparse_converged += reparse_converged;
-        // Residency gauges are point-in-time samples of (possibly shared)
-        // state: summing per-thread copies would double-count chunks, so
-        // merging keeps the largest sample.
-        self.resident_bytes = self.resident_bytes.max(*resident_bytes);
-        self.resident_high_water = self.resident_high_water.max(*resident_high_water);
-        self.chunks_evicted += chunks_evicted;
-        self.chunks_relazified += chunks_relazified;
-        self.tenants_active = self.tenants_active.max(*tenants_active);
-        self.parses_cancelled += parses_cancelled;
-        self.parses_exhausted += parses_exhausted;
-        self.ctx_quarantined += ctx_quarantined;
-        self.worker_panics += worker_panics;
-    }
-}
-
+/// Prints every nonzero counter, one per line, as its label padded to 22
+/// columns and its value.
 impl fmt::Display for GenStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "item sets created:    {}", self.nodes_created)?;
-        writeln!(f, "expansions:           {}", self.expansions)?;
-        writeln!(f, "re-expansions:        {}", self.re_expansions)?;
-        writeln!(f, "ACTION calls:         {}", self.action_calls)?;
-        writeln!(f, "GOTO calls:           {}", self.goto_calls)?;
-        writeln!(f, "grammar modifications:{}", self.modifications)?;
-        writeln!(f, "item sets invalidated:{}", self.invalidations)?;
-        writeln!(f, "collected (refcount): {}", self.nodes_collected)?;
-        writeln!(f, "collected (sweep):    {}", self.nodes_swept)?;
-        writeln!(f, "action rows built:    {}", self.rows_built)?;
-        if self.parses > 0 {
-            writeln!(f, "parses served:        {}", self.parses)?;
-        }
-        if self.epochs_published > 0 {
-            writeln!(f, "epochs published:     {}", self.epochs_published)?;
-            writeln!(f, "epochs retired:       {}", self.epochs_retired)?;
-            writeln!(f, "epochs reclaimed:     {}", self.epochs_reclaimed)?;
-        }
-        if self.chunks_cowed > 0 {
-            writeln!(f, "chunks copied (COW):  {}", self.chunks_cowed)?;
-        }
-        if self.dfa_states_carried > 0 {
-            writeln!(f, "DFA states carried:   {}", self.dfa_states_carried)?;
-        }
-        if self.ctx_reused + self.ctx_fresh > 0 {
-            writeln!(f, "contexts recycled:    {}", self.ctx_reused)?;
-            writeln!(f, "contexts built:       {}", self.ctx_fresh)?;
-        }
-        if self.latency.count() > 0 {
-            let (p50, p99, p999) = self.latency.percentiles_us();
-            writeln!(
-                f,
-                "latency (µs):         p50 {p50}, p99 {p99}, p999 {p999}, max {}",
-                self.latency.max_us()
-            )?;
-        }
-        if self.total_shed() > 0 {
-            writeln!(f, "shed (overloaded):    {}", self.shed_overload)?;
-            writeln!(f, "shed (deadline):      {}", self.shed_deadline)?;
-            writeln!(f, "shed (shutting down): {}", self.shed_shutdown)?;
-        }
-        if self.rejected_malformed > 0 {
-            writeln!(f, "malformed frames:     {}", self.rejected_malformed)?;
-        }
-        if self.io_timeouts > 0 {
-            writeln!(f, "slow-client timeouts: {}", self.io_timeouts)?;
-        }
-        if self.queue_depth_high_water > 0 {
-            writeln!(f, "queue depth (max):    {}", self.queue_depth_high_water)?;
-        }
-        if self.effective_workers > 0 {
-            writeln!(f, "effective workers:    {}", self.effective_workers)?;
-        }
-        if self.dense_rows_built > 0 {
-            writeln!(f, "dense rows built:     {}", self.dense_rows_built)?;
-        }
-        if self.dense_bytes + self.skip_loop_bytes > 0 {
-            writeln!(f, "dense bytes scanned:  {}", self.dense_bytes)?;
-            writeln!(f, "skip-loop bytes:      {}", self.skip_loop_bytes)?;
-        }
-        if self.warm_threads_used > 0 {
-            writeln!(f, "warm threads used:    {}", self.warm_threads_used)?;
-        }
-        if self.warm_batches_published > 0 {
-            writeln!(f, "warm batches:         {}", self.warm_batches_published)?;
-        }
-        if self.reparse_incremental + self.reparse_full > 0 {
-            writeln!(f, "reparse incremental:  {}", self.reparse_incremental)?;
-            writeln!(f, "reparse full:         {}", self.reparse_full)?;
-            writeln!(f, "tokens re-lexed:      {}", self.tokens_relexed)?;
-            writeln!(f, "GSS states re-run:    {}", self.states_rerun)?;
-            writeln!(f, "reparse converged:    {}", self.reparse_converged)?;
-        }
-        if self.resident_bytes > 0 {
-            writeln!(f, "resident bytes:       {}", self.resident_bytes)?;
-            writeln!(f, "resident high water:  {}", self.resident_high_water)?;
-        }
-        if self.chunks_evicted + self.chunks_relazified > 0 {
-            writeln!(f, "chunks evicted:       {}", self.chunks_evicted)?;
-            writeln!(f, "chunks re-lazified:   {}", self.chunks_relazified)?;
-        }
-        if self.parses_cancelled + self.parses_exhausted > 0 {
-            writeln!(f, "parses cancelled:     {}", self.parses_cancelled)?;
-            writeln!(f, "parses exhausted:     {}", self.parses_exhausted)?;
-        }
-        if self.ctx_quarantined + self.worker_panics > 0 {
-            writeln!(f, "contexts quarantined: {}", self.ctx_quarantined)?;
-            writeln!(f, "worker panics caught: {}", self.worker_panics)?;
-        }
-        if self.tenants_active > 0 {
-            writeln!(f, "tenants active:       {}", self.tenants_active)?;
+        for counter in self.counters().filter(|c| !c.value.is_zero()) {
+            let pad = 21usize.saturating_sub(counter.label.chars().count());
+            write!(f, "{}:{:pad$}", counter.label, "")?;
+            match counter.value {
+                CounterValue::Sum(n) | CounterValue::Max(n) => writeln!(f, "{n}")?,
+                CounterValue::Histogram(h) => {
+                    let (p50, p99, p999) = h.percentiles_us();
+                    writeln!(f, "p50 {p50}, p99 {p99}, p999 {p999}, max {}", h.max_us())?;
+                }
+            }
         }
         Ok(())
     }
@@ -595,6 +484,7 @@ mod tests {
         assert_eq!(stats.total_expansions(), 9);
         let text = stats.to_string();
         assert!(text.contains("re-expansions:        4"));
+        assert!(!text.contains("grammar modifications"), "zero rows are not printed");
     }
 
     #[test]
@@ -654,41 +544,34 @@ mod tests {
 
     #[test]
     fn merge_sums_counters_but_maxes_high_water_fields() {
-        let mut a = GenStats {
-            parses: 3,
-            action_calls: 10,
-            shed_overload: 2,
-            queue_depth_high_water: 7,
-            effective_workers: 4,
-            ..Default::default()
-        };
-        a.latency.record(Duration::from_micros(100));
-        let mut b = GenStats {
-            parses: 5,
-            action_calls: 1,
-            shed_deadline: 1,
-            queue_depth_high_water: 3,
-            effective_workers: 8,
-            ..Default::default()
-        };
-        b.latency.record(Duration::from_micros(9_000));
+        let mut a = GenStats::filled(1);
+        let b = GenStats::filled(2);
         a.merge(&b);
-        assert_eq!(a.parses, 8);
-        assert_eq!(a.action_calls, 11);
-        assert_eq!(a.shed_overload, 2);
-        assert_eq!(a.shed_deadline, 1);
-        assert_eq!(a.total_shed(), 3);
-        // High-water marks are maxed, never summed: merging cannot
-        // fabricate a queue depth or worker count nobody observed.
-        assert_eq!(a.queue_depth_high_water, 7);
-        assert_eq!(a.effective_workers, 8);
-        // Histogram merge is exact: both samples, true global max.
-        assert_eq!(a.latency.count(), 2);
-        assert_eq!(a.latency.max_us(), 9_000);
-        assert_eq!(a.latency.quantile_us(1.0), 9_000);
+        let (ones, twos) = (GenStats::filled(1), GenStats::filled(2));
+        let rows = a.counters().zip(ones.counters().zip(twos.counters()));
         let text = a.to_string();
-        assert!(text.contains("effective workers:    8"));
-        assert!(text.contains("queue depth (max):    7"));
-        assert!(text.contains("shed (overloaded):    2"));
+        for (merged, (one, two)) in rows {
+            match (merged.value, one.value, two.value) {
+                (CounterValue::Sum(n), _, _) => assert_eq!(n, 3, "{} sums", merged.name),
+                // High-water marks and gauges are maxed, never summed:
+                // merging cannot fabricate a depth nobody observed.
+                (CounterValue::Max(n), _, _) => assert_eq!(n, 2, "{} maxes", merged.name),
+                (
+                    CounterValue::Histogram(h),
+                    CounterValue::Histogram(x),
+                    CounterValue::Histogram(y),
+                ) => {
+                    // Exact: both samples, the true global maximum.
+                    let mut expected = *x;
+                    expected.merge(y);
+                    assert_eq!(*h, expected, "{} merges exactly", merged.name);
+                    assert_eq!((h.count(), h.max_us()), (2, 2));
+                }
+                _ => unreachable!("rows line up"),
+            }
+            assert!(text.contains(&format!("{}:", merged.label)), "{} displayed", merged.name);
+        }
+        // Zero rows are left out of the display.
+        assert_eq!(GenStats::default().to_string(), "");
     }
 }

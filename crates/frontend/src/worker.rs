@@ -41,8 +41,7 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use ipg::{
-    ExhaustReason, GenStats, GrammarRegistry, IpgServer, LatencyHistogram, Request, ServerError,
-    SessionError,
+    json, ExhaustReason, GenStats, GrammarRegistry, IpgServer, Request, ServerError, SessionError,
 };
 
 use crate::deadline::Deadline;
@@ -460,80 +459,53 @@ fn route(shared: &Shared, server: &IpgServer, job: &Job) -> (Status, Vec<u8>) {
     }
 }
 
-fn histogram_json(h: &LatencyHistogram) -> String {
-    let (p50, p99, p999) = h.percentiles_us();
-    format!(
-        "{{\"count\": {}, \"mean_us\": {:.1}, \"p50_us\": {p50}, \"p99_us\": {p99}, \
-         \"p999_us\": {p999}, \"max_us\": {}}}",
-        h.count(),
-        h.mean_us(),
-        h.max_us()
-    )
-}
-
-/// The STATS verb's payload: frontend admission/latency counters, the
-/// default server's merged [`GenStats`], and the registry's residency
-/// gauges (deduped across tenants; `budget` 0 means unbounded) —
-/// hand-rolled JSON (the vendored serde stub has no serializer).
+/// The STATS verb's payload: the frontend's admission/latency counters,
+/// the default tenant's merged server counters, the registry's residency
+/// gauges (deduped across tenants; `budget_bytes` 0 means unbounded), one
+/// row per tenant and the registry-wide totals.
 pub(crate) fn stats_json(shared: &Shared) -> String {
     let frontend = shared.stats_snapshot();
-    let server = shared.server.stats();
-    let merged = server.merged();
-    let registry = shared.registry.stats();
+    let server = shared.server.stats().merged();
+    let (tenants, totals) = shared.registry.tenant_stats();
     let budget = shared.registry.budget();
-    format!(
-        "{{\n  \"workers\": {},\n  \"queue_capacity\": {},\n  \"queue_depth\": {},\n  \
-         \"queue_high_water\": {},\n  \"draining\": {},\n  \"grammar_version\": {},\n  \
-         \"epoch\": {},\n  \"frontend\": {{\"requests\": {}, \"shed_overload\": {}, \
-         \"shed_deadline\": {}, \"shed_shutdown\": {}, \"malformed\": {}, \"io_timeouts\": {}, \
-         \"cancelled\": {}, \"resource_exhausted\": {}, \"worker_panics\": {}, \
-         \"ctx_quarantined\": {}, \
-         \"latency_us\": {}}},\n  \"server\": {{\"parses\": {}, \"action_calls\": {}, \
-         \"epochs_published\": {}, \"ctx_reused\": {}, \"effective_workers\": {}, \
-         \"open_documents\": {}, \"reparse_incremental\": {}, \"reparse_full\": {}, \
-         \"tokens_relexed\": {}, \"states_rerun\": {}, \"reparse_converged\": {}, \
-         \"parses_cancelled\": {}, \"parses_exhausted\": {}, \"ctx_quarantined\": {}, \
-         \"latency_us\": {}}},\n  \"registry\": {{\"tenants_active\": {}, \"budget_bytes\": {}, \
-         \"resident_bytes\": {}, \"resident_high_water\": {}, \"chunks_evicted\": {}, \
-         \"chunks_relazified\": {}}}\n}}",
-        frontend.effective_workers,
-        shared.queue.capacity(),
-        shared.queue.depth(),
-        frontend.queue_depth_high_water,
-        shared.draining(),
-        shared.server.grammar_version(),
-        shared.server.epoch_number(),
-        frontend.parses,
-        frontend.shed_overload,
-        frontend.shed_deadline,
-        frontend.shed_shutdown,
-        frontend.rejected_malformed,
-        frontend.io_timeouts,
-        frontend.parses_cancelled,
-        frontend.parses_exhausted,
-        frontend.worker_panics,
-        frontend.ctx_quarantined,
-        histogram_json(&frontend.latency),
-        merged.parses,
-        merged.action_calls,
-        merged.epochs_published,
-        merged.ctx_reused,
-        merged.effective_workers,
-        shared.server.open_documents(),
-        merged.reparse_incremental,
-        merged.reparse_full,
-        merged.tokens_relexed,
-        merged.states_rerun,
-        merged.reparse_converged,
-        merged.parses_cancelled,
-        merged.parses_exhausted,
-        merged.ctx_quarantined,
-        histogram_json(&merged.latency),
-        registry.tenants_active,
-        if budget == usize::MAX { 0 } else { budget },
-        registry.resident_bytes,
-        registry.resident_high_water,
-        registry.chunks_evicted,
-        registry.chunks_relazified,
-    )
+    json::object(|doc| {
+        doc.field("workers", frontend.effective_workers)
+            .field("queue_capacity", shared.queue.capacity())
+            .field("queue_depth", shared.queue.depth())
+            .field("queue_high_water", frontend.queue_depth_high_water)
+            .field("draining", shared.draining())
+            .field("grammar_version", shared.server.grammar_version())
+            .field("epoch", shared.server.epoch_number())
+            .object("frontend", |o| {
+                o.field("requests", frontend.parses)
+                    .field("shed_overload", frontend.shed_overload)
+                    .field("shed_deadline", frontend.shed_deadline)
+                    .field("shed_shutdown", frontend.shed_shutdown)
+                    .field("malformed", frontend.rejected_malformed)
+                    .field("io_timeouts", frontend.io_timeouts)
+                    .field("cancelled", frontend.parses_cancelled)
+                    .field("resource_exhausted", frontend.parses_exhausted)
+                    .field("worker_panics", frontend.worker_panics)
+                    .field("ctx_quarantined", frontend.ctx_quarantined)
+                    .histogram("latency_us", &frontend.latency);
+            })
+            .object("server", |o| {
+                o.counters(&server)
+                    .field("open_documents", shared.server.open_documents());
+            })
+            .object("registry", |o| {
+                o.field("tenants_active", totals.tenants_active)
+                    .field("budget_bytes", if budget == usize::MAX { 0 } else { budget })
+                    .field("resident_bytes", totals.resident_bytes)
+                    .field("resident_high_water", totals.resident_high_water)
+                    .field("chunks_evicted", totals.chunks_evicted)
+                    .field("chunks_relazified", totals.chunks_relazified);
+            })
+            .objects("tenants", &tenants, |o, (id, name, stats)| {
+                o.field("id", id).string("name", name).counters(stats);
+            })
+            .object("totals", |o| {
+                o.counters(&totals);
+            });
+    })
 }

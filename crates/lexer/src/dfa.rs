@@ -369,6 +369,19 @@ impl LazyDfa {
     pub fn new(nfa: Nfa) -> Self {
         let mut alphabet = Alphabet::new();
         alphabet.refine(classes_of(nfa.states()));
+        Self::over(nfa, Arc::new(alphabet))
+    }
+
+    /// A copy with every materialised state discarded but the start state:
+    /// the NFA is cloned and the alphabet partition shared, since only the
+    /// rows are derived from scanning. Scan counters start at zero.
+    pub(crate) fn relazified(&self) -> Self {
+        Self::over(self.nfa.clone(), self.snapshot().alphabet.clone())
+    }
+
+    /// A DFA over `nfa` whose transitions are memoised per class of
+    /// `alphabet`, a partition that refines every class on an NFA edge.
+    fn over(nfa: Nfa, alphabet: Arc<Alphabet>) -> Self {
         let dfa = LazyDfa {
             nfa,
             cache: Mutex::new(DfaCache {
@@ -379,7 +392,7 @@ impl LazyDfa {
                 next: Vec::new(),
                 scratch: NfaScratch::default(),
             }),
-            published: RwLock::new(Arc::new(DfaSnapshot::with_capacity(Arc::new(alphabet), 1))),
+            published: RwLock::new(Arc::new(DfaSnapshot::with_capacity(alphabet, 1))),
             cache_hits: AtomicUsize::new(0),
             dense_bytes: AtomicUsize::new(0),
             skip_loop_bytes: AtomicUsize::new(0),

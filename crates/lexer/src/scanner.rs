@@ -309,17 +309,24 @@ impl Scanner {
     }
 
     /// A re-lazified copy: the same active definitions with the
-    /// materialised DFA discarded, exactly as the compacting recompile in
-    /// `Scanner::maybe_compact` would leave it. Scanning against the copy
-    /// re-derives only the states the retouched inputs actually need — the
-    /// eviction half of the registry's evict → re-lazify cycle. Lifetime
-    /// counters (`rebuilds`, `carried_states`) are preserved so stats stay
-    /// monotone across eviction.
+    /// materialised DFA discarded. Scanning against the copy re-derives
+    /// only the states the retouched inputs actually need — the eviction
+    /// half of the registry's evict → re-lazify cycle. Without tombstones
+    /// the NFA and the alphabet partition carry over as they are (only the
+    /// DFA rows are derived from scanning); with them, the copy is the
+    /// compacting recompile of `Scanner::maybe_compact`, which renumbers
+    /// the slots. Lifetime counters (`rebuilds`, `carried_states`) are
+    /// preserved so stats stay monotone across eviction.
     pub fn relazified(&self) -> Scanner {
+        let dfa = if self.slots.len() == self.active.len() {
+            self.dfa.relazified()
+        } else {
+            Self::compile(&self.active)
+        };
         Scanner {
             slots: self.active.iter().cloned().map(Some).collect(),
             active: self.active.clone(),
-            dfa: Self::compile(&self.active),
+            dfa,
             rebuilds: self.rebuilds,
             carried_total: self.carried_total,
         }

@@ -42,7 +42,8 @@ pub enum LexElem {
     /// A character class (possibly negated).
     Class(CharClass),
     /// An iterated character class (`[a-z]+`). A small extension over
-    /// Appendix B, which only iterates sorts; see DESIGN.md.
+    /// Appendix B, which only iterates sorts: it lets lexical syntax say
+    /// `[a-z]+` without a helper sort for the class.
     ClassIter(CharClass, SdfIterator),
 }
 

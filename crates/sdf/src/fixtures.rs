@@ -10,13 +10,14 @@
 //! * [`paper_modification_rule`] — the grammar rule the paper adds during
 //!   the measurements: `"(" CF-ELEM+ ")?" -> CF-ELEM`.
 //!
-//! Adaptations with respect to the verbatim Appendix B text (documented in
-//! DESIGN.md): string escapes inside literals are avoided by using
-//! character classes (`["]` instead of `"\""`), the difference operator on
-//! character classes is written `~[...]` instead of `- [...]`, and the
-//! lexical chain `ORD-CHAR`/`C-CHAR`/`CHAR-RANGE` is folded into a single
-//! `CC-CHAR` sort. None of these changes affect the context-free grammar
-//! that the parser generators are measured on.
+//! Adaptations with respect to the verbatim Appendix B text, which keep
+//! the lexical syntax within the SDF subset this crate parses: string
+//! escapes inside literals are avoided by using character classes (`["]`
+//! instead of `"\""`), the difference operator on character classes is
+//! written `~[...]` instead of `- [...]`, and the lexical chain
+//! `ORD-CHAR`/`C-CHAR`/`CHAR-RANGE` is folded into a single `CC-CHAR` sort.
+//! None of these changes affect the context-free grammar that the parser
+//! generators are measured on.
 
 use crate::ast::{SdfDefinition, SdfIterator};
 use crate::normalize::{iter_symbol_name, normalize, NormalizedSdf};
@@ -348,8 +349,9 @@ mod tests {
                 input.name
             );
             // The synthesised inputs are within a factor of two of the
-            // paper's token counts (exact counts are reported in
-            // EXPERIMENTS.md).
+            // paper's token counts: close enough that Fig. 7.1's rows
+            // compare inputs of the paper's sizes, without claiming the
+            // unavailable originals' exact counts.
             let lo = input.paper_tokens / 2;
             let hi = input.paper_tokens * 2;
             assert!(

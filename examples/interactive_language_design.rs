@@ -132,7 +132,7 @@ fn main() {
         "served {} parses from {} threads ({} ACTION queries in total)",
         stats.total_parses(),
         stats.per_thread.len(),
-        stats.total_action_calls()
+        stats.merged().action_calls
     );
     println!(
         "epoch lifecycle: {} published, {} retired, {} reclaimed, {} still pinned",
