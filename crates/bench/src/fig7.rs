@@ -279,7 +279,18 @@ mod tests {
     #[test]
     fn ipg_measurement_shape_on_the_smallest_input() {
         let workload = SdfWorkload::load();
-        let row = measure(&workload, GeneratorKind::Ipg, "exp.sdf");
+        // Each timing is the minimum over 5 runs, so one scheduling hiccup
+        // in a single sample cannot decide a comparison.
+        let mut row = measure(&workload, GeneratorKind::Ipg, "exp.sdf");
+        for _ in 1..5 {
+            let run = measure(&workload, GeneratorKind::Ipg, "exp.sdf");
+            row.construct_ms = row.construct_ms.min(run.construct_ms);
+            row.parse1_ms = row.parse1_ms.min(run.parse1_ms);
+            row.parse2_ms = row.parse2_ms.min(run.parse2_ms);
+            row.modify_ms = row.modify_ms.min(run.modify_ms);
+            row.parse3_ms = row.parse3_ms.min(run.parse3_ms);
+            row.parse4_ms = row.parse4_ms.min(run.parse4_ms);
+        }
         // Lazy generation: constructing the "table" is (nearly) free, and
         // the second parse is not slower than the first (which had to
         // expand item sets).

@@ -22,20 +22,28 @@
 //! ## Concurrency design
 //!
 //! Node storage is a **persistent chunk store**: node `id` lives in slot
-//! `id % 64` of chunk `id / 64`, and each chunk is an immutable-once-shared
+//! `id % 512` of chunk `id / 512`, and each chunk is an immutable-once-shared
 //! `Arc<NodeChunk>`. The steady-state read path (the lazy tables) never
-//! touches the store at all — it reads the epoch-published
-//! `TableSnapshot` — while the accessor methods (`try_node`, `size`, …)
-//! take one store-wide `RwLock` read.
+//! touches the store at all — it reads the published `TableSnapshot` —
+//! while the accessor methods (`try_node`, `size`, …) take one store-wide
+//! `RwLock` read.
 //!
-//! All structural mutation (EXPAND / RE-EXPAND / row publication / MODIFY /
-//! GC) is funnelled through one internal `Mutex` (the *writer*), which
-//! additionally owns the kernel index, the work counters and the reusable
-//! scratch buffers; node writes go through the store's write lock and
-//! **copy a chunk on write** only when it is still shared with another
-//! fork. Lock order is always inner mutex → store lock → published lock,
-//! one at a time, so writers serialize among themselves and cannot
-//! deadlock.
+//! The published snapshot is a directory of chunks that never move, one
+//! **write-once cell** per state. A miss expands the state and sets its
+//! cell in place, built straight from the node; a reader pays one
+//! `Acquire` load per cell and needs no refresh to see it. The directory
+//! itself is republished only when a chunk is appended or copied, and a
+//! set cell is never cleared in place: retraction (`MODIFY`, sweep,
+//! refcount GC) copies the affected chunks with those cells empty.
+//!
+//! All structural mutation (EXPAND / RE-EXPAND / cell publication /
+//! MODIFY / GC) is funnelled through one internal `Mutex` (the *writer*),
+//! which additionally owns the kernel index, the work counters, the
+//! snapshot-chunk ownership flags and the reusable scratch buffers; node
+//! writes go through the store's write lock and **copy a chunk on write**
+//! only when it is still shared with another fork. Lock order is always
+//! inner mutex → store lock → published lock, so writers serialize among
+//! themselves and cannot deadlock.
 //!
 //! ## Bulk expansion (parallel warm)
 //!
@@ -55,10 +63,10 @@
 //! on the grammar and the kernel, and kernels are interned in exactly the
 //! order the serial loop would have used, the resulting graph — state
 //! numbering, kernel index, rows — is **bit-identical** to a serial warm
-//! (property-tested). Row publication
-//! parallelises the same way: chunks are unshared serially, then disjoint
-//! chunk slices are filled concurrently and published in one snapshot
-//! swap. The whole warm holds the writer mutex, so it serializes with
+//! (property-tested). Cell publication parallelises per snapshot chunk:
+//! the chunks to fill are made owned (one directory republish at most),
+//! then workers set the cells of disjoint chunks, reading the node store
+//! and never writing it. The whole warm holds the writer mutex, so it serializes with
 //! `MODIFY` like any other writer; frontiers smaller than
 //! `PARALLEL_EXPAND_MIN_BATCH` expand inline, so chain-shaped grammars
 //! never pay a spawn.
@@ -75,6 +83,14 @@
 //! reader leaves, at which point only the chunks *not* shared with any
 //! live epoch are freed (chunk-granular reclamation).
 //!
+//! Snapshot chunks follow an **ownership rule**. A state that is `Initial`
+//! in both epochs may expand differently under their two grammars, so
+//! neither may set a cell in a chunk the other still reads. The writer
+//! keeps an "owned" flag per snapshot chunk; a fork clears every flag on
+//! both the parent and the fork, and the first write into a chunk that is
+//! not owned copies it. Each shared chunk is thus copied at most once per
+//! epoch, and a miss into an owned chunk copies nothing.
+//!
 //! To find the states to invalidate without scanning every node, each
 //! chunk carries a conservative summary of the symbols on which its live
 //! complete nodes have transitions; `MODIFY` consults the summaries and
@@ -85,7 +101,7 @@ use std::fmt;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock, Weak};
+use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock, Weak};
 
 use ipg_grammar::{Grammar, GrammarError, RuleId, SymbolId};
 use ipg_lr::itemset::{closure, completed_items, partition_by_next_symbol, start_kernel, ItemSet};
@@ -135,53 +151,13 @@ pub enum GcPolicy {
 /// path.
 const PARALLEL_EXPAND_MIN_BATCH: usize = 8;
 
-/// Fills the dense action rows of every live complete node in one storage
-/// chunk (which the caller has made unique). Free function so the parallel
-/// warm can run it on worker threads against disjoint chunks.
-fn build_rows_in_chunk(chunk: &mut NodeChunk, num_symbols: usize, version: u64) -> usize {
-    let mut built = 0;
-    let mut added = 0;
-    for node in chunk.nodes.iter_mut() {
-        if !(node.alive && node.kind == ItemSetKind::Complete) || node.row.is_some() {
-            continue;
-        }
-        let mut targets = vec![0u32; num_symbols];
-        for (&symbol, &target) in &node.transitions {
-            targets[symbol.index()] = target.0 + 1;
-        }
-        added += std::mem::size_of::<ActionRow>() + targets.len() * 4;
-        node.row = Some(ActionRow { version, targets });
-        built += 1;
-    }
-    chunk.bytes += added;
-    built
-}
-
-/// Assembles the published read-view of one storage chunk (row/reduction
-/// clones into fresh `Arc`s). Free function so snapshot rebuilds can run
-/// it chunk-parallel.
-fn snap_chunk_of(chunk: &NodeChunk) -> Arc<SnapChunk> {
-    let mut entries: SnapChunk = vec![None; CHUNK_SIZE];
-    for (slot, node) in chunk.nodes.iter().enumerate() {
-        let (Some(row), true) = (&node.row, node.alive && node.kind == ItemSetKind::Complete)
-        else {
-            continue;
-        };
-        entries[slot] = Some(Arc::new(PublishedState {
-            row: row.clone(),
-            reductions: node.reductions.clone(),
-            accepting: node.accepting,
-        }));
-    }
-    Arc::new(entries)
-}
-
 /// The result of the read-only half of `EXPAND` (closure, successor
 /// partition, reduction analysis), computed without touching the writer
 /// state. Workers of the parallel warm produce these concurrently; the
 /// serial commit step interns the successor kernels and writes the node.
+/// The closure itself is not kept: it is recomputable from the kernel, and
+/// nothing reads it once it has been partitioned.
 struct ComputedExpansion {
-    closed: ItemSet,
     successors: BTreeMap<SymbolId, ItemSet>,
     reductions: Vec<RuleId>,
     accepting: bool,
@@ -214,7 +190,6 @@ fn compute_expansion_of(grammar: &Grammar, kernel: &ItemSet) -> ComputedExpansio
     reductions.sort();
     reductions.dedup();
     ComputedExpansion {
-        closed,
         successors,
         reductions,
         accepting,
@@ -296,17 +271,16 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
-/// A dense, symbol-indexed shadow of a complete item set's transitions —
-/// the action-row cache of the lazy tables (the §5.1 `ACTION`/`GOTO` hot
-/// path). One `u32` per interned symbol maps the symbol to its shift/GOTO
-/// target (`0` = no edge), so a steady-state table query is a single array
-/// load instead of a `BTreeMap` walk, with zero heap allocation.
+/// A dense, symbol-indexed copy of a complete item set's transitions —
+/// the action row of the lazy tables (the §5.1 `ACTION`/`GOTO` hot path).
+/// One `u32` per interned symbol maps the symbol to its shift/GOTO target
+/// (`0` = no edge), so a steady-state table query is a single array load
+/// instead of a `BTreeMap` walk, with zero heap allocation.
 ///
-/// A row's validity is tied to the life cycle of the item set it shadows:
-/// it is built lazily on the first query after the node becomes `Complete`
-/// and dropped the moment the node is invalidated by `MODIFY` or replaced
-/// by `RE-EXPAND` — exactly when the underlying expansion itself becomes
-/// invalid (§6 semantics).
+/// A row exists only inside a [`PublishedState`]: it is built once, on the
+/// first query (or batch warm) after the node becomes `Complete`, and
+/// retracted with its cell the moment `MODIFY`, a sweep or refcount GC
+/// makes the expansion it copies invalid (§6 semantics).
 #[derive(Clone, Debug)]
 pub struct ActionRow {
     /// Grammar version at build time (diagnostic; validity is structural).
@@ -319,7 +293,7 @@ impl ActionRow {
     /// The shift/GOTO target recorded for `symbol`, if any. Symbols
     /// interned after the row was built read as "no transition", which is
     /// correct: the node cannot have grown an edge on them without being
-    /// re-expanded (which drops the row).
+    /// re-expanded (which retracts the row).
     #[inline]
     pub fn target(&self, symbol: SymbolId) -> Option<StateId> {
         match self.targets.get(symbol.index()) {
@@ -335,8 +309,9 @@ impl ActionRow {
 }
 
 /// The immutable, published read-view of one complete state: its dense
-/// row, reduce set and accept flag. Entries are shared via `Arc` between
-/// the graph and any number of pinned reader snapshots.
+/// row, reduce set and accept flag, built straight from the node's
+/// `transitions`, `reductions` and `accepting` when its cell is first
+/// written. The `Arc` lets a chunk copy share the entries it carries over.
 #[derive(Debug)]
 pub(crate) struct PublishedState {
     pub(crate) row: ActionRow,
@@ -344,43 +319,78 @@ pub(crate) struct PublishedState {
     pub(crate) accepting: bool,
 }
 
-/// One chunk of the published snapshot: the entries of [`CHUNK_SIZE`]
-/// consecutive state ids, always padded to full length.
-type SnapChunk = Vec<Option<Arc<PublishedState>>>;
+/// One write-once cell of the published snapshot.
+type SnapCell = OnceLock<Arc<PublishedState>>;
 
-/// An immutable snapshot of every published state, indexed by state id.
+/// One chunk of the published snapshot: the cells of [`CHUNK_SIZE`]
+/// consecutive state ids. A chunk never moves and a cell is set at most
+/// once; retraction copies the chunk with the retracted cells empty.
+type SnapChunk = [SnapCell];
+
+fn empty_snap_chunk() -> Arc<SnapChunk> {
+    (0..CHUNK_SIZE).map(|_| OnceLock::new()).collect()
+}
+
+/// Publishes a complete node into its (empty) cell. Returns the entry's
+/// modeled bytes, or `None` when the cell was already set. Free function so
+/// the batch warm can fill disjoint chunks on worker threads.
+fn publish_cell(
+    cell: &SnapCell,
+    node: &ItemSetNode,
+    num_symbols: usize,
+    version: u64,
+) -> Option<usize> {
+    if cell.get().is_some() {
+        return None;
+    }
+    let mut targets = vec![0u32; num_symbols];
+    for (&symbol, &target) in &node.transitions {
+        targets[symbol.index()] = target.0 + 1;
+    }
+    let entry = PublishedState {
+        row: ActionRow { version, targets },
+        reductions: node.reductions.clone(),
+        accepting: node.accepting,
+    };
+    let bytes = published_state_bytes(&entry);
+    cell.set(Arc::new(entry)).ok().map(|()| bytes)
+}
+
+/// The published snapshot: a directory of chunks of write-once cells,
+/// indexed by state id.
 ///
-/// This is the *epoch* half of the read/expand split: the writer publishes
-/// a fresh `Arc<TableSnapshot>` whenever it materialises (or retracts) a
-/// row, and each `LazyTables` handle pins one snapshot and serves all its
-/// steady-state queries from it with **no locking or atomics at all**.
-/// Pinning is sound because everything that could make a published entry
-/// *wrong* — `MODIFY`, mark-and-sweep — requires `&mut ItemSetGraph`,
+/// This is the *epoch* half of the read/expand split. Each `LazyTables`
+/// handle pins one directory and serves its steady-state queries from it
+/// with no locks: a query is one `Acquire` load of the state's cell. A
+/// miss sets the cell *in place* under the writer mutex, so a reader
+/// pinned to the same directory sees the entry without refreshing; the
+/// writer republishes the directory only when it appends a chunk or copies
+/// one. Pinning is sound because everything that could make a published
+/// entry *wrong* — `MODIFY`, mark-and-sweep — requires `&mut ItemSetGraph`,
 /// which the borrow checker refuses while any handle (a `&` borrow) is
 /// alive. The one `&self` writer that retracts entries, refcount GC
 /// during re-expansion, only collects states unreachable under the
 /// current grammar — a parse in flight holds published predecessors
 /// (whose refcounts pin their successors), so it can never be directed
-/// into a collected state. Concurrent lazy expansion only ever *adds*
-/// entries, which a pinned reader picks up by refreshing on a miss.
+/// into a collected state — and it retracts by copying the chunk, so
+/// pinned readers never see a cell change once set.
 ///
-/// Entries live in `Arc`'d chunks mirroring the node store, so successor
-/// epochs share the snapshot chunks of untouched states and `MODIFY`
-/// retracts invalidated entries by copying only the affected chunks.
+/// **Ownership.** Successor epochs share snapshot chunks, and a state that
+/// is `Initial` in two epochs may expand differently under their grammars.
+/// An epoch therefore writes in place only into the chunks it owns (see
+/// `GraphInner::snap_owned`): appended chunks and its own copies. A fork
+/// clears ownership on both sides, so the first write into a shared chunk
+/// copies it — once per chunk per epoch, not once per miss.
 #[derive(Debug, Default)]
 pub(crate) struct TableSnapshot {
     chunks: Vec<Arc<SnapChunk>>,
-    /// Cached modeled bytes of every published entry, maintained at each
-    /// publish/retract/rebuild (see the byte-accounting section below).
-    bytes: usize,
 }
 
 impl TableSnapshot {
     #[inline]
     pub(crate) fn get(&self, id: StateId) -> Option<&PublishedState> {
-        self.chunks
-            .get(id.index() >> CHUNK_BITS)
-            .and_then(|chunk| chunk[id.index() & (CHUNK_SIZE - 1)].as_deref())
+        let chunk = self.chunks.get(id.index() >> CHUNK_BITS)?;
+        chunk[id.index() & (CHUNK_SIZE - 1)].get().map(|entry| &**entry)
     }
 }
 
@@ -394,8 +404,6 @@ pub struct ItemSetNode {
     pub kernel: ItemSet,
     /// Life-cycle stage.
     pub kind: ItemSetKind,
-    /// Closure of the kernel (valid when `Complete`; retained on `Dirty`).
-    pub closure: ItemSet,
     /// Outgoing edges (valid when `Complete`; the *old* edges when `Dirty`).
     pub transitions: BTreeMap<SymbolId, StateId>,
     /// Rules that may be reduced in this state (valid when `Complete`).
@@ -406,9 +414,6 @@ pub struct ItemSetNode {
     pub refcount: usize,
     /// `false` once the node has been reclaimed by a garbage collector.
     pub alive: bool,
-    /// Dense table-row cache over `transitions`; `None` until the first
-    /// query after (re-)expansion, dropped on every invalidation.
-    pub row: Option<ActionRow>,
 }
 
 impl ItemSetNode {
@@ -417,13 +422,11 @@ impl ItemSetNode {
             id,
             kernel,
             kind: ItemSetKind::Initial,
-            closure: ItemSet::new(),
             transitions: BTreeMap::new(),
             reductions: Vec::new(),
             accepting: false,
             refcount: 0,
             alive: true,
-            row: None,
         }
     }
 
@@ -458,8 +461,9 @@ fn slot_of(id: StateId) -> usize {
 // ----------------------------------------------------------------------
 // Byte accounting (the residency model)
 //
-// Every storage chunk and the published snapshot carry a cached byte
-// count so a registry can enforce a global budget without walking nodes.
+// Every storage chunk carries a cached byte count, and the graph one for
+// its published entries, so a registry can enforce a global budget without
+// walking nodes.
 // The model is *self-consistent*, not allocator-exact: collection
 // overheads are folded into per-entry constants, and `Vec` spare
 // capacity is ignored. What the accounting guarantees — and what the
@@ -481,13 +485,8 @@ const ARC_HEADER_BYTES: usize = 16;
 fn node_heap_bytes(node: &ItemSetNode) -> usize {
     std::mem::size_of::<ItemSetNode>()
         + node.kernel.len() * ITEM_ENTRY_BYTES
-        + node.closure.len() * ITEM_ENTRY_BYTES
         + node.transitions.len() * MAP_ENTRY_BYTES
         + node.reductions.len() * std::mem::size_of::<RuleId>()
-        + node
-            .row
-            .as_ref()
-            .map_or(0, |row| std::mem::size_of::<ActionRow>() + row.targets.len() * 4)
 }
 
 /// Fresh (non-cached) walk of one chunk's modeled bytes — the oracle the
@@ -506,7 +505,7 @@ fn published_state_bytes(entry: &PublishedState) -> usize {
 
 /// Fresh walk of one snapshot chunk's modeled bytes.
 fn snap_chunk_bytes(chunk: &SnapChunk) -> usize {
-    chunk.iter().flatten().map(|e| published_state_bytes(e)).sum()
+    chunk.iter().filter_map(OnceLock::get).map(|e| published_state_bytes(e)).sum()
 }
 
 /// One `Arc`-shared storage chunk: up to [`CHUNK_SIZE`] consecutive nodes
@@ -660,23 +659,42 @@ struct GraphInner {
     scratch_pending: Vec<StateId>,
     /// Scratch work-stack for iterative `DECR-REFCOUNT`.
     gc_stack: Vec<StateId>,
-    /// Scratch for `MODIFY`'s invalidated-state list.
-    scratch_invalidated: Vec<StateId>,
+    /// Scratch for the states whose published cells one `MODIFY`, sweep
+    /// or re-expansion retracts (invalidated, swept or collected).
+    scratch_retract: Vec<StateId>,
+    /// Per snapshot chunk: `true` when this graph alone holds the chunk,
+    /// so its empty cells may be set in place. Appended chunks and copies
+    /// start owned; a fork clears every flag on both sides (see
+    /// [`TableSnapshot`]).
+    snap_owned: Vec<bool>,
 }
 
-impl Clone for GraphInner {
-    /// Fork-time clone: shares the kernel-index shards (`Arc` bumps) and
-    /// starts the fork with fresh, empty scratch buffers.
-    fn clone(&self) -> Self {
+impl GraphInner {
+    fn new(grammar_version: u64) -> Self {
+        GraphInner {
+            len: 0,
+            kernel_index: KernelIndex::new(),
+            stats: GenStats::default(),
+            grammar_version,
+            scratch_targets: Vec::new(),
+            scratch_pending: Vec::new(),
+            gc_stack: Vec::new(),
+            scratch_retract: Vec::new(),
+            snap_owned: Vec::new(),
+        }
+    }
+
+    /// Fork-time clone: shares the kernel-index shards (`Arc` bumps),
+    /// starts the fork with fresh, empty scratch buffers, and makes both
+    /// sides treat every snapshot chunk as shared.
+    fn fork(&mut self) -> Self {
+        self.snap_owned.fill(false);
         GraphInner {
             len: self.len,
             kernel_index: self.kernel_index.clone(),
             stats: self.stats,
-            grammar_version: self.grammar_version,
-            scratch_targets: Vec::new(),
-            scratch_pending: Vec::new(),
-            gc_stack: Vec::new(),
-            scratch_invalidated: Vec::new(),
+            snap_owned: self.snap_owned.clone(),
+            ..GraphInner::new(self.grammar_version)
         }
     }
 }
@@ -685,8 +703,8 @@ impl Clone for GraphInner {
 ///
 /// All read-path methods take `&self` and may be called from any number of
 /// threads; the expansion entry points ([`ItemSetGraph::ensure_expanded`],
-/// [`ItemSetGraph::ensure_row`], [`ItemSetGraph::ensure_state`],
-/// [`ItemSetGraph::expand_all`]) also take `&self` but serialize internally
+/// [`ItemSetGraph::ensure_state`], [`ItemSetGraph::expand_all`]) also take
+/// `&self` but serialize internally
 /// as writers. Grammar modifications (`add_rule` / `remove_rule` /
 /// `mark_and_sweep`) keep `&mut self`: they change the *language* the graph
 /// answers for, so callers must hold exclusive access. The `IpgServer`
@@ -706,6 +724,9 @@ pub struct ItemSetGraph {
     /// The current published snapshot (see [`TableSnapshot`]). Readers
     /// clone the `Arc` once per handle refresh, not per query.
     published: RwLock<Arc<TableSnapshot>>,
+    /// Cached modeled bytes of every published entry, maintained at each
+    /// cell write and retraction (see the byte-accounting section above).
+    published_bytes: AtomicUsize,
     /// `ACTION` query count, aggregated from the per-handle counters of the
     /// lazy tables (relaxed; flushed once per table handle, not per query).
     action_calls: AtomicUsize,
@@ -721,13 +742,15 @@ pub struct ItemSetGraph {
 impl Clone for ItemSetGraph {
     /// Forks the graph by cloning chunk pointers: O(#chunks), however many
     /// states the graph holds. Taken under the writer mutex, so the fork
-    /// is a consistent snapshot.
+    /// is a consistent snapshot; from here on neither side writes a
+    /// snapshot cell in place until it has copied that chunk.
     fn clone(&self) -> Self {
-        let inner = self.inner.lock().unwrap();
+        let mut inner = self.inner.lock().unwrap();
         ItemSetGraph {
             store: RwLock::new(self.store.read().unwrap().clone()),
-            inner: Mutex::new(inner.clone()),
+            inner: Mutex::new(inner.fork()),
             published: RwLock::new(self.published.read().unwrap().clone()),
+            published_bytes: AtomicUsize::new(self.published_bytes.load(Ordering::Relaxed)),
             action_calls: AtomicUsize::new(self.action_calls.load(Ordering::Relaxed)),
             goto_calls: AtomicUsize::new(self.goto_calls.load(Ordering::Relaxed)),
             chunks_cowed: AtomicUsize::new(self.chunks_cowed.load(Ordering::Relaxed)),
@@ -763,16 +786,8 @@ impl ItemSetGraph {
         let graph = ItemSetGraph {
             store: RwLock::new(Vec::new()),
             published: RwLock::new(Arc::new(TableSnapshot::default())),
-            inner: Mutex::new(GraphInner {
-                len: 0,
-                kernel_index: KernelIndex::new(),
-                stats: GenStats::default(),
-                grammar_version: grammar.version(),
-                scratch_targets: Vec::new(),
-                scratch_pending: Vec::new(),
-                gc_stack: Vec::new(),
-                scratch_invalidated: Vec::new(),
-            }),
+            published_bytes: AtomicUsize::new(0),
+            inner: Mutex::new(GraphInner::new(grammar.version())),
             action_calls: AtomicUsize::new(0),
             goto_calls: AtomicUsize::new(0),
             chunks_cowed: AtomicUsize::new(0),
@@ -971,8 +986,9 @@ impl ItemSetGraph {
     // ------------------------------------------------------------------
 
     /// The current published snapshot. A `LazyTables` handle pins one of
-    /// these and refreshes it on a miss; all steady-state queries are then
-    /// plain array reads against immutable data.
+    /// these and refreshes it only when a miss's cell is not visible
+    /// through the pin; a steady-state query is one `Acquire` load of a
+    /// write-once cell.
     pub(crate) fn published_snapshot(&self) -> Arc<TableSnapshot> {
         self.published.read().unwrap().clone()
     }
@@ -997,15 +1013,15 @@ impl ItemSetGraph {
             return false;
         }
         self.ensure_expanded_locked(&mut inner, grammar, id);
-        self.ensure_row_locked(&mut inner, grammar, id);
+        self.publish_locked(&mut inner, grammar, id);
         true
     }
 
     /// The `GOTO` miss path. Appendix A proves `GOTO` is only called with
     /// complete item sets, so no expansion is performed — a non-complete
     /// (or stale) state reads as an error entry after a debug assertion;
-    /// for a complete state the dense row is published so the caller can
-    /// refresh its snapshot and read the target.
+    /// for a complete state the cell is published so the caller can read
+    /// the target.
     pub(crate) fn prepare_goto(&self, grammar: &Grammar, id: StateId) -> bool {
         let mut inner = self.inner.lock().unwrap();
         if !self.is_live_locked(&inner, id) {
@@ -1020,7 +1036,7 @@ impl ItemSetGraph {
         if kind != ItemSetKind::Complete {
             return false;
         }
-        self.ensure_row_locked(&mut inner, grammar, id);
+        self.publish_locked(&mut inner, grammar, id);
         true
     }
 
@@ -1047,12 +1063,12 @@ impl ItemSetGraph {
         self.ensure_expanded_locked(&mut inner, grammar, id);
     }
 
-    /// Ensures the node is expanded *and* its dense row is published — the
+    /// Ensures the node is expanded *and* its cell is published — the
     /// single writer entry point behind the lazy tables' read path.
     pub fn ensure_state(&self, grammar: &Grammar, id: StateId) {
         let mut inner = self.inner.lock().unwrap();
         self.ensure_expanded_locked(&mut inner, grammar, id);
-        self.ensure_row_locked(&mut inner, grammar, id);
+        self.publish_locked(&mut inner, grammar, id);
     }
 
     fn ensure_expanded_locked(&self, inner: &mut GraphInner, grammar: &Grammar, id: StateId) {
@@ -1093,9 +1109,13 @@ impl ItemSetGraph {
         });
         self.commit_expansion_locked(inner, id, computed);
         if self.refcounting() {
+            let mut collected = std::mem::take(&mut inner.scratch_retract);
+            collected.clear();
             for &target in &old_targets {
-                self.decr_refcount_locked(inner, target);
+                self.decr_refcount_locked(inner, target, &mut collected);
             }
+            self.retract_locked(inner, &collected);
+            inner.scratch_retract = collected;
         }
         inner.scratch_targets = old_targets;
     }
@@ -1144,197 +1164,100 @@ impl ItemSetGraph {
         let slot = slot_of(id);
         let before = node_heap_bytes(&chunk.nodes[slot]);
         let node = &mut chunk.nodes[slot];
-        node.closure = computed.closed;
         node.transitions = transitions;
         node.reductions = computed.reductions;
         node.accepting = computed.accepting;
         node.kind = ItemSetKind::Complete;
-        // The dense row shadows the (old) transitions; rebuild on demand.
-        // Readers observe the kind change and the dropped row atomically:
-        // both happen under the store's write lock.
-        node.row = None;
         chunk.bytes = chunk.bytes - before + node_heap_bytes(&chunk.nodes[slot]);
     }
 
-    /// Builds the dense [`ActionRow`] of a complete node if it is missing.
-    /// The row is the steady-state `ACTION`/`GOTO` fast path: after this,
-    /// table queries for the node are array loads with no allocation.
-    ///
-    /// # Panics
-    /// Debug-asserts that the node is `Complete`; rows of initial/dirty
-    /// nodes would shadow invalid transitions.
-    pub fn ensure_row(&self, grammar: &Grammar, id: StateId) {
-        let mut inner = self.inner.lock().unwrap();
-        self.ensure_row_locked(&mut inner, grammar, id);
-    }
-
-    fn ensure_row_locked(&self, inner: &mut GraphInner, grammar: &Grammar, id: StateId) {
-        self.build_row_locked(inner, grammar, id);
-        // Publish (or re-publish after invalidation) the read-view entry so
-        // pinned reader snapshots can pick it up on their next refresh.
-        self.publish_entry(id);
-    }
-
-    /// Builds the dense row in the node storage without touching the
-    /// published snapshot (the caller publishes, either per entry or in
-    /// one batch).
-    fn build_row_locked(&self, inner: &mut GraphInner, grammar: &Grammar, id: StateId) {
-        let num_symbols = grammar.symbols().len();
-        let version = grammar.version();
-        let built = self.with_node_mut(id, |node| {
-            debug_assert_eq!(
-                node.kind,
-                ItemSetKind::Complete,
-                "action rows only shadow complete item sets"
-            );
-            if node.row.is_some() {
-                return false;
-            }
-            let mut targets = vec![0u32; num_symbols];
-            for (&symbol, &target) in &node.transitions {
-                targets[symbol.index()] = target.0 + 1;
-            }
-            node.row = Some(ActionRow { version, targets });
-            true
-        });
-        if built {
+    /// Publishes a complete node's cell if it is still empty: builds the
+    /// [`PublishedState`] from the node and sets the cell in place. Only
+    /// the first write into a chunk this graph does not own (appended, or
+    /// shared with another epoch) republishes the directory.
+    fn publish_locked(&self, inner: &mut GraphInner, grammar: &Grammar, id: StateId) {
+        debug_assert_eq!(
+            self.with_node(id, |n| n.kind),
+            ItemSetKind::Complete,
+            "published cells only hold complete item sets"
+        );
+        if self.published_snapshot().get(id).is_some() {
+            return;
+        }
+        let snapshot = self.owned_snapshot_locked(inner, &[chunk_of(id)]);
+        let cell = &snapshot.chunks[chunk_of(id)][slot_of(id)];
+        let (num_symbols, version) = (grammar.symbols().len(), grammar.version());
+        let published = self.with_node(id, |node| publish_cell(cell, node, num_symbols, version));
+        if let Some(bytes) = published {
+            self.published_bytes.fetch_add(bytes, Ordering::Relaxed);
             inner.stats.rows_built += 1;
         }
     }
 
-    /// Copies the node's row/reductions/accept flag into a fresh published
-    /// snapshot (copy-on-write over the shared snapshot chunks). A no-op
-    /// when the entry is already present: an existing entry is always
-    /// current, because every path that drops or replaces a row first
-    /// retracts the entry (MODIFY/sweep retract or rebuild, GC
-    /// unpublishes).
-    ///
-    /// A publication copies one snapshot chunk plus the chunk-pointer
-    /// vector — O(#chunks) pointer copies, which measures as noise next to
-    /// the closure computation each new state also pays; batch paths that
-    /// build many rows at once ([`ItemSetGraph::publish_all_rows`]) swap
-    /// one rebuilt snapshot instead.
-    fn publish_entry(&self, id: StateId) {
-        {
-            let published = self.published.read().unwrap();
-            if published.get(id).is_some() {
-                return;
+    /// The published directory, with every chunk in `chunks` present and
+    /// owned by this graph so its cells can be set in place. Missing
+    /// chunks are appended empty; a chunk shared with another epoch is
+    /// copied, once per epoch. The directory is republished only when one
+    /// of the two happened.
+    fn owned_snapshot_locked(
+        &self,
+        inner: &mut GraphInner,
+        chunks: &[usize],
+    ) -> Arc<TableSnapshot> {
+        if chunks.iter().all(|&c| inner.snap_owned.get(c) == Some(&true)) {
+            return self.published_snapshot();
+        }
+        let mut published = self.published.write().unwrap();
+        let mut dir = published.chunks.clone();
+        for &c in chunks {
+            while dir.len() <= c {
+                dir.push(empty_snap_chunk());
+                inner.snap_owned.push(true);
+            }
+            if !inner.snap_owned[c] {
+                dir[c] = Arc::from(&dir[c][..]);
+                inner.snap_owned[c] = true;
             }
         }
-        let entry = self.with_node(id, |node| {
-            node.row.as_ref().map(|row| {
-                Arc::new(PublishedState {
-                    row: row.clone(),
-                    reductions: node.reductions.clone(),
-                    accepting: node.accepting,
-                })
-            })
-        });
-        let Some(entry) = entry else { return };
-        let mut published = self.published.write().unwrap();
-        let bytes = published.bytes + published_state_bytes(&entry);
-        let mut chunks = published.chunks.clone();
-        while chunks.len() <= chunk_of(id) {
-            chunks.push(Arc::new(vec![None; CHUNK_SIZE]));
-        }
-        Arc::make_mut(&mut chunks[chunk_of(id)])[slot_of(id)] = Some(entry);
-        *published = Arc::new(TableSnapshot { chunks, bytes });
+        *published = Arc::new(TableSnapshot { chunks: dir });
+        published.clone()
     }
 
-    /// Drops a state's published entry (after garbage collection).
-    fn unpublish_entry(&self, id: StateId) {
-        let mut published = self.published.write().unwrap();
-        if let Some(entry) = published.get(id) {
-            let bytes = published.bytes - published_state_bytes(entry);
-            let mut chunks = published.chunks.clone();
-            Arc::make_mut(&mut chunks[chunk_of(id)])[slot_of(id)] = None;
-            *published = Arc::new(TableSnapshot { chunks, bytes });
-        }
-    }
-
-    /// Retracts the published entries of `ids` in one batch: copies only
-    /// the snapshot chunks that actually hold an entry for one of the ids
-    /// and swaps once. The `MODIFY` companion of the chunk-granular node
-    /// invalidation — O(invalidated), not O(published).
-    fn retract_entries(&self, ids: &[StateId]) {
+    /// Retracts the published cells of `ids` in one batch: each snapshot
+    /// chunk holding one of them is copied with those cells empty (pinned
+    /// readers keep the chunk they hold), and the directory is republished
+    /// once. The companion of every path that invalidates or reclaims a
+    /// state — `MODIFY`, the sweep, refcount GC — and O(retracted), not
+    /// O(published).
+    fn retract_locked(&self, inner: &mut GraphInner, ids: &[StateId]) {
         if ids.is_empty() {
             return;
         }
-        let mut published = self.published.write().unwrap();
-        let mut bytes = published.bytes;
-        let mut chunks = published.chunks.clone();
-        let mut changed = false;
+        let published = self.published_snapshot();
+        let mut dir = published.chunks.clone();
+        let mut freed = 0;
         for &id in ids {
-            let Some(chunk) = chunks.get_mut(chunk_of(id)) else {
+            let c = chunk_of(id);
+            let Some(entry) = dir.get(c).and_then(|chunk| chunk[slot_of(id)].get()) else {
                 continue;
             };
-            if let Some(entry) = &chunk[slot_of(id)] {
-                bytes -= published_state_bytes(entry);
-                Arc::make_mut(chunk)[slot_of(id)] = None;
-                changed = true;
+            freed += published_state_bytes(entry);
+            if Arc::ptr_eq(&dir[c], &published.chunks[c]) {
+                dir[c] = Arc::from(&dir[c][..]);
+                inner.snap_owned[c] = true;
             }
+            Arc::get_mut(&mut dir[c]).expect("a fresh copy")[slot_of(id)].take();
         }
-        if changed {
-            *published = Arc::new(TableSnapshot { chunks, bytes });
+        if freed > 0 {
+            self.published_bytes.fetch_sub(freed, Ordering::Relaxed);
+            *self.published.write().unwrap() = Arc::new(TableSnapshot { chunks: dir });
         }
     }
 
-    /// Rebuilds the published snapshot from the node storage — used by the
-    /// batch paths (mark-and-sweep, full warm-up), which may touch most
-    /// entries anyway.
-    fn rebuild_published(&self) {
-        self.rebuild_published_parallel(1);
-    }
-
-    /// [`ItemSetGraph::rebuild_published`] with the per-chunk snapshot
-    /// assembly (row/reduction clones into fresh `Arc`s — memcpy-heavy)
-    /// fanned out over `threads` workers; the swap stays a single pointer
-    /// store either way.
-    fn rebuild_published_parallel(&self, threads: usize) {
-        let store = self.store.read().unwrap();
-        let threads = threads.max(1).min(store.len().max(1));
-        let chunks: Vec<Arc<SnapChunk>> = if threads <= 1 || store.len() < 2 {
-            store.iter().map(|chunk| snap_chunk_of(chunk)).collect()
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let mut slots: Vec<Option<Arc<SnapChunk>>> = vec![None; store.len()];
-            std::thread::scope(|scope| {
-                let cursor = &cursor;
-                let store = &store;
-                let handles: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(move || {
-                            let mut out = Vec::new();
-                            loop {
-                                let c = cursor.fetch_add(1, Ordering::Relaxed);
-                                if c >= store.len() {
-                                    break;
-                                }
-                                out.push((c, snap_chunk_of(&store[c])));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    for (c, chunk) in handle.join().unwrap() {
-                        slots[c] = Some(chunk);
-                    }
-                }
-            });
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("every chunk index was assembled"))
-                .collect()
-        };
-        drop(store);
-        let bytes = chunks.iter().map(|chunk| snap_chunk_bytes(chunk)).sum();
-        *self.published.write().unwrap() = Arc::new(TableSnapshot { chunks, bytes });
-    }
-
-    /// The dense action row of a node, if one has been built and is valid.
+    /// The dense action row published for a node, if the node is complete
+    /// and its cell has been written since its last expansion.
     pub fn action_row(&self, id: StateId) -> Option<ActionRow> {
-        self.with_node(id, |n| n.row.clone())
+        self.published_snapshot().get(id).map(|entry| entry.row.clone())
     }
 
     fn refcounting(&self) -> bool {
@@ -1345,7 +1268,13 @@ impl ItemSetGraph {
     /// count drops to zero the node is reclaimed and the references *it*
     /// holds are released in turn. Iterative over a reused work stack, so
     /// deep release chains neither recurse nor allocate in steady state.
-    fn decr_refcount_locked(&self, inner: &mut GraphInner, id: StateId) {
+    /// Reclaimed ids are appended to `collected` for the caller to retract.
+    fn decr_refcount_locked(
+        &self,
+        inner: &mut GraphInner,
+        id: StateId,
+        collected: &mut Vec<StateId>,
+    ) {
         let mut stack = std::mem::take(&mut inner.gc_stack);
         debug_assert!(stack.is_empty());
         stack.push(id);
@@ -1367,9 +1296,6 @@ impl ItemSetGraph {
             let (kernel, targets) = self.with_node_mut(id, |node| {
                 node.refcount = 0;
                 node.alive = false;
-                // A dead node is never queried again; free its row (the
-                // largest per-node allocation) immediately.
-                node.row = None;
                 let targets: Vec<StateId> = if node.kind != ItemSetKind::Initial {
                     node.transitions.values().copied().collect()
                 } else {
@@ -1382,7 +1308,7 @@ impl ItemSetGraph {
             // (a newer live node may have reused the kernel).
             inner.kernel_index.remove_if(&kernel, id);
             stack.extend(targets);
-            self.unpublish_entry(id);
+            collected.push(id);
         }
         inner.gc_stack = stack;
     }
@@ -1439,7 +1365,7 @@ impl ItemSetGraph {
         } else {
             ItemSetKind::Initial
         };
-        let mut invalidated = std::mem::take(&mut inner.scratch_invalidated);
+        let mut invalidated = std::mem::take(&mut inner.scratch_retract);
         invalidated.clear();
 
         if lhs == grammar.start_symbol() {
@@ -1457,7 +1383,6 @@ impl ItemSetGraph {
                 let was_complete = node.kind == ItemSetKind::Complete;
                 if was_complete {
                     node.kind = invalidated_kind;
-                    node.row = None;
                 }
                 (was_complete, old_kernel, node.kernel.clone())
             });
@@ -1473,9 +1398,7 @@ impl ItemSetGraph {
         } else {
             // Invalidate through the chunk summaries: only chunks whose
             // summary may contain `lhs` are inspected, and only chunks
-            // with an actual hit are copied on write — the cached action
-            // rows are dropped in the same breath as the item sets they
-            // shadow.
+            // with an actual hit are copied on write.
             let mut store = self.store.write().unwrap();
             for c in 0..store.len() {
                 if !store[c].summary_may_contain(lhs) {
@@ -1500,7 +1423,6 @@ impl ItemSetGraph {
                     let before = node_heap_bytes(&chunk.nodes[slot]);
                     let node = &mut chunk.nodes[slot];
                     node.kind = invalidated_kind;
-                    node.row = None;
                     invalidated.push(node.id);
                     inner.stats.invalidations += 1;
                     chunk.bytes = chunk.bytes - before + node_heap_bytes(&chunk.nodes[slot]);
@@ -1508,37 +1430,28 @@ impl ItemSetGraph {
             }
         }
 
-        let swept = self.maybe_sweep_locked(inner, grammar);
-        // Invalidation dropped rows in place; retract exactly those
-        // entries from the published snapshot too (exclusive: no reader
-        // holds a handle). A sweep may have retracted arbitrary states,
-        // so it rebuilds instead.
-        if swept {
-            self.rebuild_published();
-        } else {
-            self.retract_entries(&invalidated);
-        }
-        inner.scratch_invalidated = invalidated;
+        // Retract the invalidated and any swept states' cells in one batch.
+        self.maybe_sweep_locked(inner, &mut invalidated);
+        self.retract_locked(inner, &invalidated);
+        inner.scratch_retract = invalidated;
     }
 
     /// Runs a mark-and-sweep pass if the policy asks for one and the
-    /// garbage fraction exceeds its threshold. Returns `true` when a
-    /// sweep ran (the caller must then rebuild the published snapshot).
-    fn maybe_sweep_locked(&self, inner: &mut GraphInner, grammar: &Grammar) -> bool {
+    /// garbage fraction exceeds its threshold, appending the swept ids to
+    /// `swept`.
+    fn maybe_sweep_locked(&self, inner: &mut GraphInner, swept: &mut Vec<StateId>) {
         let GcPolicy::RefCountWithSweep { threshold_percent } = self.gc else {
-            return false;
+            return;
         };
         let live = self.num_live();
         if live == 0 {
-            return false;
+            return;
         }
         let reachable = self.reachable_from_start_locked(inner);
         let garbage = live.saturating_sub(reachable.len());
         if garbage * 100 > threshold_percent as usize * live {
-            self.mark_and_sweep_locked(inner, grammar);
-            return true;
+            self.mark_and_sweep_locked(inner, swept);
         }
-        false
     }
 
     fn reachable_from_start_locked(&self, inner: &GraphInner) -> Vec<StateId> {
@@ -1572,13 +1485,18 @@ impl ItemSetGraph {
     /// reachable from the start item set, and recomputes reference counts.
     /// This is the paper's proposed answer to cyclic references that
     /// reference counting alone cannot reclaim. Exclusive, like `MODIFY`.
-    pub fn mark_and_sweep(&mut self, grammar: &Grammar) {
+    pub fn mark_and_sweep(&mut self, _grammar: &Grammar) {
         let mut inner = self.inner.lock().unwrap();
-        self.mark_and_sweep_locked(&mut inner, grammar);
-        self.rebuild_published();
+        let mut swept = std::mem::take(&mut inner.scratch_retract);
+        swept.clear();
+        self.mark_and_sweep_locked(&mut inner, &mut swept);
+        self.retract_locked(&mut inner, &swept);
+        inner.scratch_retract = swept;
     }
 
-    fn mark_and_sweep_locked(&self, inner: &mut GraphInner, _grammar: &Grammar) {
+    /// The sweep itself; appends the reclaimed ids to `swept` for the
+    /// caller to retract.
+    fn mark_and_sweep_locked(&self, inner: &mut GraphInner, swept_ids: &mut Vec<StateId>) {
         inner.stats.sweeps += 1;
         let reachable = self.reachable_from_start_locked(inner);
         let mut keep = vec![false; inner.len];
@@ -1597,8 +1515,8 @@ impl ItemSetGraph {
                 if node.alive && !keep[node.id.index()] {
                     let before = node_heap_bytes(node);
                     node.alive = false;
-                    node.row = None;
                     inner.stats.nodes_swept += 1;
+                    swept_ids.push(node.id);
                     swept.push((std::mem::take(&mut node.kernel), node.id));
                     freed += before - node_heap_bytes(node);
                 }
@@ -1740,79 +1658,58 @@ impl ItemSetGraph {
         inner.scratch_pending = pending;
     }
 
-    /// Publishes the dense action row of every live complete node — used
-    /// together with [`ItemSetGraph::expand_all`] to fully warm a served
-    /// table.
+    /// Publishes the cell of every live complete node — used together with
+    /// [`ItemSetGraph::expand_all`] to fully warm a served table.
     pub fn publish_all_rows(&self, grammar: &Grammar) {
         self.publish_all_rows_parallel(grammar, 1);
     }
 
-    /// [`ItemSetGraph::publish_all_rows`] with row building and snapshot
-    /// assembly fanned out over `threads` workers. Rows live in disjoint
-    /// storage chunks, so workers fill them without synchronisation once
-    /// the (serial) copy-on-write pass has made the touched chunks unique;
-    /// the published snapshot is likewise assembled chunk-parallel and
-    /// swapped in once. Results are identical to the serial path.
+    /// [`ItemSetGraph::publish_all_rows`] with the cell fill fanned out
+    /// over `threads` workers, one snapshot chunk at a time. The chunks to
+    /// fill are made owned first (one directory republish at most); the
+    /// workers then only set cells, and never write the node store.
+    /// Results are identical to the serial path.
     pub fn publish_all_rows_parallel(&self, grammar: &Grammar, threads: usize) {
-        let threads = threads.max(1);
         let mut inner = self.inner.lock().unwrap();
-        let num_symbols = grammar.symbols().len();
-        let version = grammar.version();
-        let needs_rows = |chunk: &NodeChunk| {
-            chunk
+        let store = self.store.read().unwrap();
+        let current = self.published_snapshot();
+        let todo: Vec<usize> = (0..store.len())
+            .filter(|&c| {
+                store[c].nodes.iter().any(|n| {
+                    n.alive && n.kind == ItemSetKind::Complete && current.get(n.id).is_none()
+                })
+            })
+            .collect();
+        let snapshot = self.owned_snapshot_locked(&mut inner, &todo);
+        let (num_symbols, version) = (grammar.symbols().len(), grammar.version());
+        let fill = |c: usize| {
+            let cells = &snapshot.chunks[c];
+            store[c]
                 .nodes
                 .iter()
-                .any(|n| n.alive && n.kind == ItemSetKind::Complete && n.row.is_none())
+                .filter(|n| n.alive && n.kind == ItemSetKind::Complete)
+                .filter_map(|n| publish_cell(&cells[slot_of(n.id)], n, num_symbols, version))
+                .fold((0, 0), |(rows, bytes), b| (rows + 1, bytes + b))
         };
-        {
-            let mut store = self.store.write().unwrap();
-            // Unshare every chunk that needs row writes (serial, O(#chunks)
-            // checks), then hand the now-unique chunks to workers disjointly.
-            for c in 0..store.len() {
-                if needs_rows(&store[c]) {
-                    let _ = self.chunk_mut(&mut store, c);
-                }
+        let cursor = AtomicUsize::new(0);
+        let worker = || {
+            let mut total = (0, 0);
+            while let Some(&c) = todo.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                let (rows, bytes) = fill(c);
+                total = (total.0 + rows, total.1 + bytes);
             }
-            let mut chunk_refs: Vec<&mut NodeChunk> = store
-                .iter_mut()
-                .filter(|arc| needs_rows(arc))
-                .map(|arc| Arc::get_mut(arc).expect("chunk was unshared above"))
-                .collect();
-            let built = if threads <= 1 || chunk_refs.len() < 2 {
-                let mut built = 0;
-                for chunk in &mut chunk_refs {
-                    built += build_rows_in_chunk(chunk, num_symbols, version);
-                }
-                built
-            } else {
-                let mut built = 0;
-                std::thread::scope(|scope| {
-                    let per = chunk_refs.len().div_ceil(threads);
-                    let mut handles = Vec::new();
-                    let mut rest: &mut [&mut NodeChunk] = &mut chunk_refs;
-                    while !rest.is_empty() {
-                        let take = per.min(rest.len());
-                        let (head, tail) = std::mem::take(&mut rest).split_at_mut(take);
-                        rest = tail;
-                        handles.push(scope.spawn(move || {
-                            let mut built = 0;
-                            for chunk in head.iter_mut() {
-                                built += build_rows_in_chunk(chunk, num_symbols, version);
-                            }
-                            built
-                        }));
-                    }
-                    for handle in handles {
-                        built += handle.join().unwrap();
-                    }
-                });
-                built
-            };
-            inner.stats.rows_built += built;
-        }
-        // One batch publication instead of a copy-on-write snapshot per
-        // row (which would be quadratic in the number of states).
-        self.rebuild_published_parallel(threads);
+            total
+        };
+        let workers = threads.clamp(1, todo.len().max(1));
+        let (rows, bytes) = std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..workers).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .fold(worker(), |a, b| (a.0 + b.0, a.1 + b.1))
+        });
+        inner.stats.rows_built += rows;
+        self.published_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
     /// Renders the live part of the graph in the style of the paper's item
@@ -1882,8 +1779,8 @@ impl ItemSetGraph {
     }
 
     /// The modeled resident bytes of this graph's derived parser state:
-    /// node chunks (kernels, closures, transitions, cached action rows)
-    /// plus the published table snapshot. Served from the incrementally
+    /// node chunks (kernels, transitions, reductions) plus the published
+    /// entries (action rows). Served from the incrementally
     /// maintained per-chunk counters — O(#chunks), never O(#nodes).
     ///
     /// The sharded kernel index is deliberately excluded: its entries are
@@ -1892,7 +1789,7 @@ impl ItemSetGraph {
     /// state — re-lazification rebuilds it from scratch anyway.
     pub fn resident_bytes(&self) -> usize {
         let store_bytes: usize = self.store.read().unwrap().iter().map(|c| c.bytes).sum();
-        store_bytes + self.published.read().unwrap().bytes
+        store_bytes + self.published_bytes.load(Ordering::Relaxed)
     }
 
     /// Recomputes [`ItemSetGraph::resident_bytes`] with a fresh walk over
@@ -1907,7 +1804,7 @@ impl ItemSetGraph {
             .iter()
             .map(|c| chunk_bytes_of(c))
             .sum();
-        let published = self.published.read().unwrap();
+        let published = self.published_snapshot();
         let snap_bytes: usize = published.chunks.iter().map(|c| snap_chunk_bytes(c)).sum();
         store_bytes + snap_bytes
     }
@@ -1925,12 +1822,12 @@ impl ItemSetGraph {
             .iter()
             .map(|c| (Arc::as_ptr(c) as usize, c.bytes))
             .collect();
-        let published = self.published.read().unwrap();
+        let published = self.published_snapshot();
         rows.extend(
             published
                 .chunks
                 .iter()
-                .map(|c| (Arc::as_ptr(c) as usize, snap_chunk_bytes(c))),
+                .map(|c| (Arc::as_ptr(c) as *const u8 as usize, snap_chunk_bytes(c))),
         );
         rows
     }
@@ -1964,13 +1861,9 @@ impl ItemSetGraph {
         }
         inner.kernel_index.unshare();
         let mut published = self.published.write().unwrap();
-        let chunks = published
-            .chunks
-            .iter()
-            .map(|chunk| Arc::new((**chunk).clone()))
-            .collect();
-        let bytes = published.bytes;
-        *published = Arc::new(TableSnapshot { chunks, bytes });
+        let chunks = published.chunks.iter().map(|chunk| Arc::from(&chunk[..])).collect();
+        *published = Arc::new(TableSnapshot { chunks });
+        inner.snap_owned.fill(true);
     }
 }
 #[cfg(test)]

@@ -11,8 +11,8 @@
 //!
 //! The server's unit of consistency is the [`GrammarEpoch`]: an immutable
 //! bundle of one grammar version's table state (an [`IpgSession`] holding
-//! the grammar plus its item-set graph, whose published
-//! `Arc<TableSnapshot>` rows the lazy tables pin) and the scanner whose
+//! the grammar plus its item-set graph, whose published snapshot of
+//! write-once ACTION/GOTO cells the lazy tables pin) and the scanner whose
 //! lazily determinised DFA snapshot belongs to the same version. Epochs
 //! move through four stages:
 //!
@@ -35,7 +35,10 @@
 //!   result in as the new current epoch. The fork is **structurally
 //!   shared**: grammar and item-set graph are persistent chunk stores, so
 //!   forking clones O(#chunks) `Arc`s and the invalidation pass
-//!   copies-on-write only the chunks holding invalidated states.
+//!   copies-on-write only the chunks holding invalidated states. The two
+//!   epochs then share snapshot chunks: each copies a shared chunk once,
+//!   on its first lazy miss there, and writes cells in place from then
+//!   on, so neither can see the other's expansions.
 //!   Publication cost is therefore O(invalidated states) — independent of
 //!   graph size *and* of how long any in-flight parse still runs (the
 //!   `publish-scaling` bench tracks the former, `modify-concurrent` the
@@ -48,7 +51,7 @@
 //!   reader has left: it runs when a parse releases a stale pin and on the
 //!   next publication, never while anyone can still query the storage.
 //!   Reclamation is **chunk-granular**: dropping a retired epoch frees
-//!   exactly the storage chunks (item sets, dense rows, DFA row chunks)
+//!   exactly the storage chunks (item sets, published cells, DFA row chunks)
 //!   that no live epoch still shares — the chunks the epoch
 //!   inherited from (or bequeathed to) its neighbours live on with them.
 //!
@@ -853,7 +856,7 @@ impl IpgServer {
     }
 
     /// Warms the shared table: fully expands the current epoch's item-set
-    /// graph and publishes every dense row, so subsequent parses are pure
+    /// graph and publishes every cell, so subsequent parses are pure
     /// reads.
     pub fn warm(&self) {
         self.read(|s| s.expand_all());

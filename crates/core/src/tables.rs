@@ -79,12 +79,14 @@ pub struct LazyTables<'a> {
     graph: &'a ItemSetGraph,
     eof: SymbolId,
     /// The pinned table snapshot (see `TableSnapshot` in the graph
-    /// module): steady-state queries are plain array reads against this
-    /// immutable, `Arc`-shared view — no locks, no atomics. The snapshot
-    /// is chunked like the node store, so successor epochs share the
-    /// chunks of untouched states; a pinned handle holds whole chunks
+    /// module): a steady-state query is one `Acquire` load of the state's
+    /// write-once cell in this `Arc`-shared directory — no locks. The
+    /// snapshot is chunked like the node store, so successor epochs share
+    /// the chunks of untouched states; a pinned handle holds whole chunks
     /// alive, never copies them. A miss funnels into the graph's
-    /// serialized writer and then refreshes the pin. Pinning is sound
+    /// serialized writer, which usually sets the cell in a chunk this pin
+    /// already holds; the pin is refreshed only when the cell landed in a
+    /// chunk appended or copied after it was taken. Pinning is sound
     /// because `MODIFY`/GC take `&mut` on the graph and therefore cannot
     /// run while this (shared) borrow exists — the epoch serving layer
     /// preserves exactly this: modifications fork the graph (structurally
@@ -153,6 +155,31 @@ fn fill_cell(out: &mut ActionCell, entry: &PublishedState, symbol: SymbolId, eof
     out.accept = entry.accepting && symbol == eof;
 }
 
+impl LazyTables<'_> {
+    /// The miss path shared by `ACTION` and `GOTO`: runs the graph writer
+    /// (`publish`) until `state`'s cell is published, then reads it with
+    /// `read`. The pin is refreshed only when it does not show the cell.
+    /// Returns `None` when `publish` reports a stale or non-complete state.
+    fn read_after_miss<R>(
+        &self,
+        state: StateId,
+        publish: impl Fn() -> bool,
+        mut read: impl FnMut(&PublishedState) -> R,
+    ) -> Option<R> {
+        loop {
+            if !publish() {
+                return None;
+            }
+            if self.snapshot.borrow().get(state).is_none() {
+                *self.snapshot.borrow_mut() = self.graph.published_snapshot();
+            }
+            if let Some(entry) = self.snapshot.borrow().get(state) {
+                return Some(read(entry));
+            }
+        }
+    }
+}
+
 impl ParserTables for LazyTables<'_> {
     fn start_state(&self) -> StateId {
         self.graph.start_state()
@@ -161,37 +188,26 @@ impl ParserTables for LazyTables<'_> {
     /// The lazy `ACTION` of §5.1: "when state is an initial set of items it
     /// must be expanded first", then the actions are read off the node.
     ///
-    /// Steady-state path (published entry in the pinned snapshot): two
-    /// array loads against immutable data and zero heap allocations — the
-    /// shift target comes from the dense row and the (almost always tiny)
-    /// reduce set is copied into the caller's reusable cell. No locks or
-    /// atomics are touched. Only a miss takes the serialized writer
-    /// ([`ItemSetGraph::ensure_state`]) and refreshes the pin.
+    /// Steady-state path (published cell in the pinned snapshot): one
+    /// `Acquire` load of the cell, then array reads and zero heap
+    /// allocations — the shift target comes from the dense row and the
+    /// (almost always tiny) reduce set is copied into the caller's
+    /// reusable cell. No lock is taken. Only a miss takes the serialized
+    /// writer ([`ItemSetGraph::ensure_state`]).
     fn actions_into(&self, state: StateId, symbol: SymbolId, out: &mut ActionCell) {
         self.action_calls.set(self.action_calls.get() + 1);
-        {
-            let snapshot = self.snapshot.borrow();
-            if let Some(entry) = snapshot.get(state) {
-                fill_cell(out, entry, symbol, self.eof);
-                return;
-            }
+        if let Some(entry) = self.snapshot.borrow().get(state) {
+            fill_cell(out, entry, symbol, self.eof);
+            return;
         }
-        loop {
-            if !self.graph.ensure_state_checked(self.grammar, state) {
-                // A stale id (out of range, or reclaimed by GC) reads as a
-                // syntax-error cell instead of crashing the shared graph.
-                out.clear();
-                return;
-            }
-            let fresh = self.graph.published_snapshot();
-            let found = fresh.get(state).is_some();
-            *self.snapshot.borrow_mut() = fresh;
-            if found {
-                let snapshot = self.snapshot.borrow();
-                let entry = snapshot.get(state).expect("entry just observed");
-                fill_cell(out, entry, symbol, self.eof);
-                return;
-            }
+        let publish = || self.graph.ensure_state_checked(self.grammar, state);
+        if self
+            .read_after_miss(state, publish, |entry| fill_cell(out, entry, symbol, self.eof))
+            .is_none()
+        {
+            // A stale id (out of range, or reclaimed by GC) reads as a
+            // syntax-error cell instead of crashing the shared graph.
+            out.clear();
         }
     }
 
@@ -199,32 +215,16 @@ impl ParserTables for LazyTables<'_> {
     /// with complete item sets, so no expansion is performed — in debug
     /// *and* release builds alike. The debug assertion checks the
     /// invariant; a violating call reads as an error entry (`None`) instead
-    /// of silently expanding the set. Only a missing published row takes
-    /// the writer (to publish it) and refreshes the pin.
+    /// of silently expanding the set. Only an empty cell takes the writer
+    /// (to publish it).
     fn goto(&self, state: StateId, symbol: SymbolId) -> Option<StateId> {
         self.goto_calls.set(self.goto_calls.get() + 1);
-        {
-            let snapshot = self.snapshot.borrow();
-            if let Some(entry) = snapshot.get(state) {
-                return entry.row.target(symbol);
-            }
+        if let Some(entry) = self.snapshot.borrow().get(state) {
+            return entry.row.target(symbol);
         }
-        loop {
-            if !self.graph.prepare_goto(self.grammar, state) {
-                return None;
-            }
-            let fresh = self.graph.published_snapshot();
-            let found = fresh.get(state).is_some();
-            *self.snapshot.borrow_mut() = fresh;
-            if found {
-                let snapshot = self.snapshot.borrow();
-                return snapshot
-                    .get(state)
-                    .expect("entry just observed")
-                    .row
-                    .target(symbol);
-            }
-        }
+        let publish = || self.graph.prepare_goto(self.grammar, state);
+        self.read_after_miss(state, publish, |entry| entry.row.target(symbol))
+            .flatten()
     }
 
     fn describe(&self) -> String {
@@ -246,8 +246,7 @@ impl ParserTables for LazyTables<'_> {
 
 impl TableExpansion for LazyTables<'_> {
     /// The explicit expansion entry point: materialise one state (expand
-    /// it and publish its dense row) through the graph's serialized
-    /// writer.
+    /// it and publish its cell) through the graph's serialized writer.
     fn ensure_state(&self, state: StateId) {
         self.graph.ensure_state(self.grammar, state);
     }

@@ -118,7 +118,7 @@ fn sdf_rows_agree_before_and_after_the_paper_modification() {
     // disappear exactly where item sets were invalidated.
     let rows_before: Vec<StateId> = graph
         .live_nodes()
-        .filter(|n| n.row.is_some())
+        .filter(|n| graph.action_row(n.id).is_some())
         .map(|n| n.id)
         .collect();
     assert!(!rows_before.is_empty(), "queries built rows");
@@ -126,11 +126,11 @@ fn sdf_rows_agree_before_and_after_the_paper_modification() {
     for &id in &rows_before {
         let node = graph.node(id);
         assert_eq!(
-            node.row.is_none(),
+            graph.action_row(id).is_none(),
             node.needs_expansion(),
             "row of state {id:?} must be dropped iff the item set was invalidated"
         );
-        if let Some(row) = &node.row {
+        if let Some(row) = graph.action_row(id) {
             // Surviving rows still shadow valid transitions, and the
             // version they carry predates the modification.
             for (&symbol, &target) in &node.transitions {
@@ -149,7 +149,7 @@ fn sdf_rows_agree_before_and_after_the_paper_modification() {
     // Rows rebuilt after the modification carry the current grammar
     // version.
     for node in graph.live_nodes() {
-        if let Some(row) = &node.row {
+        if let Some(row) = graph.action_row(node.id) {
             assert!(row.version() <= grammar.version());
         }
     }
@@ -161,8 +161,17 @@ fn sdf_rows_agree_before_and_after_the_paper_modification() {
     assert_rows_agree_with_naive_readoff(&grammar, &graph);
 }
 
+/// Case count: `IPG_PROPTEST_CASES` (the CI epoch-stress job runs 256 in
+/// release mode), defaulting to 24.
+fn cases() -> u32 {
+    std::env::var("IPG_PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(24)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// Dense rows agree with the naive read-off on random grammars, after
     /// lazy warm-up, after `ADD-RULE`, and after `DELETE-RULE`, under every

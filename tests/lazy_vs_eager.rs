@@ -12,8 +12,17 @@ use ipg_earley::EarleyParser;
 use ipg_glr::{GssParser, PoolGlrParser};
 use ipg_lr::{Lr0Automaton, ParseTable};
 
+/// Case count: `IPG_PROPTEST_CASES` (the CI epoch-stress job runs 256 in
+/// release mode), defaulting to 48.
+fn cases() -> u32 {
+    std::env::var("IPG_PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(48)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     /// The lazy ACTION/GOTO functions answer exactly like the eagerly
     /// generated LR(0) table: both drive the same GSS parser to the same

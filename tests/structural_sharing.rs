@@ -4,11 +4,20 @@
 //! states. These tests pin that down with `Arc::ptr_eq`-level assertions
 //! (via [`ItemSetGraph::shared_chunks_with`] / [`ChunkHandle::ptr_eq`])
 //! on a synthetic grammar large enough to span several storage chunks.
+//! The published table's snapshot chunks are checked the same way, by
+//! address: a lazy miss writes its cell in place, and an epoch copies a
+//! snapshot chunk it shares with another epoch at most once.
+
+mod common;
 
 use std::collections::BTreeSet;
 
-use ipg::{IpgServer, IpgSession, ItemSetGraph, ItemSetKind};
+use common::digest;
+use ipg::{IpgServer, IpgSession, ItemSetGraph, ItemSetKind, LazyTables};
 use ipg_bench::synthetic_workload;
+use ipg_glr::GssParser;
+use ipg_grammar::{Grammar, SymbolId};
+use ipg_lr::ParserTables;
 
 /// Chunk indices of the fork's invalidated (non-complete) states.
 fn dirty_chunks(graph: &ItemSetGraph) -> BTreeSet<usize> {
@@ -135,4 +144,145 @@ fn unshare_all_reproduces_the_deep_fork() {
         fork.parse(&workload.sentence).accepted,
         session.parse(&workload.sentence).accepted
     );
+}
+
+/// Addresses of the graph's published snapshot chunks, in chunk order
+/// (`chunk_accounting` lists the node chunks first, then these).
+fn snapshot_chunks(graph: &ItemSetGraph) -> Vec<usize> {
+    graph.chunk_accounting()[graph.num_chunks()..]
+        .iter()
+        .map(|&(addr, _)| addr)
+        .collect()
+}
+
+#[test]
+fn lazy_misses_on_an_unforked_graph_write_cells_in_place() {
+    let workload = synthetic_workload(2000);
+    let grammar = &workload.grammar;
+    let graph = ItemSetGraph::new(grammar);
+    graph.expand_all(grammar);
+    assert!(graph.num_chunks() >= 4, "fixture must span several chunks");
+    let ids: Vec<_> = graph.live_nodes().map(|n| n.id).collect();
+    let tables = LazyTables::new(grammar, &graph).unwrap();
+    let rows_before = graph.stats().rows_built;
+    // One miss per state, in id order: each publishes one cell, and only
+    // a miss into a chunk not yet in the directory appends one.
+    for &id in &ids {
+        let before = snapshot_chunks(&graph);
+        tables.actions(id, grammar.eof_symbol());
+        let after = snapshot_chunks(&graph);
+        assert_eq!(
+            after[..before.len()],
+            before[..],
+            "the miss on state {id:?} moved a snapshot chunk"
+        );
+        assert_eq!(after.len(), ItemSetGraph::chunk_of_state(id) + 1);
+    }
+    assert_eq!(graph.stats().rows_built - rows_before, ids.len());
+    assert_eq!(graph.resident_bytes(), graph.recompute_resident_bytes());
+}
+
+/// The token sentence named by `names`.
+fn tokens(grammar: &Grammar, names: &[String]) -> Vec<SymbolId> {
+    names
+        .iter()
+        .map(|n| grammar.symbol(n).expect("interned by the workload"))
+        .collect()
+}
+
+#[test]
+fn forked_epochs_expand_a_shared_initial_state_each_their_own_way() {
+    let workload = synthetic_workload(2000);
+    let (lhs, rhs) = workload.edit.clone();
+    let parent = IpgSession::new(workload.grammar.clone());
+    let grammar = parent.grammar();
+    // The edited non-terminal `E` hangs off `N{m}` behind `mark`. Reading
+    // `a0 … a{m-1} z{m}` expands the state that shifts `mark`, so the
+    // `mark`-successor (whose closure holds the `E` rules) is interned but
+    // stays `Initial`.
+    let m = (0..)
+        .find(|i| grammar.symbol(&format!("N{}", i + 1)).is_none())
+        .expect("chain ends")
+        / 2;
+    let prefix: Vec<String> = (0..m).map(|i| format!("a{i}")).collect();
+    let sentence = |tail: &[&str]| {
+        let mut names = prefix.clone();
+        names.extend(tail.iter().map(|t| t.to_string()));
+        names
+    };
+    let warm = sentence(&[&format!("z{m}")]);
+    assert!(parent.parse(&tokens(grammar, &warm)).accepted);
+    let mark = grammar.symbol("mark").unwrap();
+    let x = parent
+        .graph()
+        .live_nodes()
+        .find_map(|n| n.transitions.get(&mark).copied())
+        .expect("the mark-successor is interned");
+    assert_eq!(parent.graph().node_kind(x), Ok(ItemSetKind::Initial));
+    assert!(parent.graph().num_chunks() >= 2);
+
+    // Pin the parent's tables, then fork and add `E ::= e2` on the fork.
+    let pinned = parent.tables();
+    let mut fork = parent.clone();
+    fork.add_rule(lhs, rhs);
+    assert_eq!(fork.stats().invalidations, 0, "no complete state reads E yet");
+    assert_eq!(fork.graph().node_kind(x), Ok(ItemSetKind::Initial));
+    let shared = snapshot_chunks(parent.graph());
+    assert_eq!(snapshot_chunks(fork.graph()), shared);
+
+    // Drive both epochs through `x` and beyond, recording every snapshot
+    // chunk address each one publishes along the way.
+    let probes = [
+        sentence(&["mark", "e1"]),
+        sentence(&["mark", "e2"]),
+        sentence(&[&format!("a{m}"), &format!("z{}", m + 1)]),
+        sentence(&["mark", "e1"]),
+    ];
+    let mut seen = [vec![BTreeSet::new(); shared.len()], vec![BTreeSet::new(); shared.len()]];
+    let cold_parent = IpgSession::new(parent.grammar().clone());
+    let cold_fork = IpgSession::new(fork.grammar().clone());
+    for names in &probes {
+        let sides = [(&parent, &cold_parent), (&fork, &cold_fork)];
+        for (side, (epoch, cold)) in sides.into_iter().enumerate() {
+            let toks = tokens(epoch.grammar(), names);
+            assert_eq!(digest(&epoch.parse(&toks)), digest(&cold.parse(&toks)), "{names:?}");
+            for (c, &addr) in snapshot_chunks(epoch.graph()).iter().take(shared.len()).enumerate() {
+                if addr != shared[c] {
+                    seen[side][c].insert(addr);
+                }
+            }
+        }
+    }
+    let e2 = tokens(fork.grammar(), &sentence(&["mark", "e2"]));
+    assert!(!parent.parse(&e2).accepted, "the parent keeps the old grammar");
+    assert!(fork.parse(&e2).accepted, "the fork reads its own expansion of x");
+    assert_eq!(parent.graph().node_kind(x), Ok(ItemSetKind::Complete));
+    assert_eq!(fork.graph().node_kind(x), Ok(ItemSetKind::Complete));
+
+    // Each shared chunk was copied at most once per epoch, and the chunk
+    // holding `x` was copied by both.
+    let cx = ItemSetGraph::chunk_of_state(x);
+    for (side, copies) in seen.iter().enumerate() {
+        for (c, addrs) in copies.iter().enumerate() {
+            assert!(
+                addrs.len() <= 1,
+                "epoch {side} copied snapshot chunk {c} {} times",
+                addrs.len()
+            );
+        }
+        assert_eq!(copies[cx].len(), 1, "epoch {side} wrote x's cell into its own copy");
+    }
+    assert_ne!(seen[0][cx], seen[1][cx]);
+
+    // The handle pinned on the parent before the fork answers the old
+    // grammar, cell for cell like a cold session of it.
+    let parser = GssParser::new(parent.grammar());
+    for names in &probes {
+        let toks = tokens(parent.grammar(), names);
+        assert_eq!(
+            digest(&parser.parse(&pinned, &toks)),
+            digest(&cold_parent.parse(&toks)),
+            "pinned handle on {names:?}"
+        );
+    }
 }
