@@ -254,10 +254,7 @@ impl IpgServer {
                 synced: true,
                 last,
             })),
-            Err(e) => {
-                self.release(epoch);
-                Err(self.discard_ctx(mem, e))
-            }
+            Err(e) => Err(self.discard_ctx(mem, e)),
         }
     }
 
@@ -313,8 +310,7 @@ impl IpgServer {
         // against a fresh pin — state is never spliced across epochs.
         let stale = doc.epoch.number() != self.epoch_number();
         if stale {
-            let old = std::mem::replace(&mut doc.epoch, self.acquire());
-            self.release(old);
+            doc.epoch = self.acquire();
         }
         let work = if stale || !doc.synced {
             doc.text.replace_range(range, replacement);
@@ -362,8 +358,8 @@ impl IpgServer {
         })
     }
 
-    /// Closes a document session and releases its epoch pin (a stale
-    /// pinned epoch becomes reclaimable here). A synced session returns
+    /// Closes a document session and drops its epoch pin (a stale pinned
+    /// epoch with no other pin is freed here). A synced session returns
     /// its memory to the calling thread's context pool; a desynchronised
     /// or poisoned one drops it (`ctx_quarantined`).
     pub fn close_document(&self, id: u64) -> Result<(), ServerError> {
@@ -379,21 +375,13 @@ impl IpgServer {
             }),
             // A concurrent reader still holds the session `Arc`; the
             // session (memory and pin) drops when it finishes.
-            Err(arc) => {
-                let epoch = lock_doc(&arc).epoch.clone();
-                self.release(epoch);
-                return Ok(());
-            }
+            Err(_) => return Ok(()),
         };
-        let DocumentSession {
-            epoch, mem, synced, ..
-        } = doc;
-        if synced {
-            checkin_ctx(mem);
+        if doc.synced {
+            checkin_ctx(doc.mem);
         } else {
-            self.quarantine_ctx(mem);
+            self.quarantine_ctx(doc.mem);
         }
-        self.release(epoch);
         Ok(())
     }
 

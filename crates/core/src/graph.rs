@@ -277,7 +277,7 @@ impl std::error::Error for GraphError {}
 /// (`0` = no edge), so a steady-state table query is a single array load
 /// instead of a `BTreeMap` walk, with zero heap allocation.
 ///
-/// A row exists only inside a [`PublishedState`]: it is built once, on the
+/// A row exists only inside a published state cell: it is built once, on the
 /// first query (or batch warm) after the node becomes `Complete`, and
 /// retracted with its cell the moment `MODIFY`, a sweep or refcount GC
 /// makes the expansion it copies invalid (§6 semantics).
@@ -828,17 +828,6 @@ impl ItemSetGraph {
         stats.resident_bytes = self.resident_bytes();
         stats.resident_high_water = stats.resident_high_water.max(stats.resident_bytes);
         stats
-    }
-
-    /// Folds externally accumulated counters (typically the stats of a
-    /// previous epoch's graph that this graph replaces) into this graph's
-    /// counters, so eviction and re-lazification do not reset the
-    /// observable work history of a tenant.
-    pub(crate) fn adopt_stats(&self, carried: GenStats) {
-        let mut inner = self.inner.lock().unwrap();
-        let mut stats = carried;
-        stats.merge(&inner.stats);
-        inner.stats = stats;
     }
 
     /// A snapshot of a node, or an error for ids that were never handed out

@@ -37,7 +37,7 @@
 //! | published snapshot rows  | yes, chunk-granular              | yes        | row build + publish on next complete state |
 //! | DFA row chunks           | yes, chunk-granular              | yes        | lazy subset construction on next scan |
 //! | chunks shared by dialects| counted **once** (pointer-keyed) | yes (each fork re-lazifies independently) | per-tenant lazy expansion |
-//! | retired pinned epochs    | held by their readers            | reclaimed by the deferred sweep, not the registry | — |
+//! | retired pinned epochs    | held by their readers            | freed with their last pin, not by the registry | — |
 //!
 //! Eviction is **safe by construction**: it publishes a cold epoch of the
 //! same grammar ([`IpgServer::relazify`]), so in-flight parses finish on

@@ -20,9 +20,10 @@
 //!        pin                         publish
 //! parse ----> epoch k  ...  MODIFY ---------> epoch k+1 becomes current
 //!                                |
-//!                                v            retire          reclaim
-//!                        epoch k is retired -------> pinned? ---------> freed
-//!                                                    (readers finish)
+//!                                v                      reclaim
+//!                        epoch k is retired -----------------------> freed
+//!                        (the server drops its Arc)   (its last pin
+//!                                                      is dropped)
 //! ```
 //!
 //! * **pin** — every parse clones the current `Arc<GrammarEpoch>` once and
@@ -44,12 +45,17 @@
 //!   `publish-scaling` bench tracks the former, `modify-concurrent` the
 //!   latter). Scanner edits likewise **carry over** the still-valid lazy
 //!   DFA states instead of rebuilding the scanner from zero.
-//! * **retire** — the replaced epoch is parked on a retired list. Parses
-//!   that pinned it keep reading it; they observe the grammar version they
-//!   started with, end to end.
-//! * **reclaim** — the deferred sweep drops a retired epoch once its last
-//!   reader has left: it runs when a parse releases a stale pin and on the
-//!   next publication, never while anyone can still query the storage.
+//! * **retire** — the publication swaps the new epoch in and drops the
+//!   server's `Arc` to the replaced one. Parses that pinned it keep
+//!   reading it; they observe the grammar version they started with, end
+//!   to end.
+//! * **reclaim** — the `Arc` is an epoch's only owner, so whoever drops
+//!   the last pin frees it on the spot: a parse or `read` ending, a
+//!   document closing or re-pinning, a dropped
+//!   [`IpgServer::current_epoch`] handle, or the publication itself when
+//!   nobody pinned the epoch. A retired epoch counts `epochs_reclaimed` in
+//!   its own `Drop`; no list, sweep or lock is involved, and nobody can
+//!   still query the storage when it goes.
 //!   Reclamation is **chunk-granular**: dropping a retired epoch frees
 //!   exactly the storage chunks (item sets, published cells, DFA row chunks)
 //!   that no live epoch still shares — the chunks the epoch
@@ -60,16 +66,15 @@
 //! Epochs make the *table* side of a request allocation-free; the
 //! per-request scratch is recycled the same way. Every request checks a
 //! [`RequestCtx`] out of a **per-thread context pool slot** (lock-free: a
-//! `Cell` swap in thread-local storage, keyed by thread exactly like the
-//! per-thread statistics), runs entirely inside it — GSS node/edge pools,
-//! dense frontiers, reduction buffers, the forest arena and the token
-//! buffer all live in the context and keep their capacity from request to
-//! request (the scanner needs no buffer: it reads the request text's bytes
-//! in place) — and returns it when done:
+//! `Cell` swap in thread-local storage), runs entirely inside it — GSS
+//! node/edge pools, dense frontiers, reduction buffers, the forest arena
+//! and the token buffer all live in the context and keep their capacity
+//! from request to request (the scanner needs no buffer: it reads the
+//! request text's bytes in place) — and returns it when done:
 //!
 //! ```text
-//! request --> checkout ctx --> pin epoch --> parse --> release pin --> return ctx
-//!             (TLS slot,                                              (TLS slot)
+//! request --> checkout ctx --> pin epoch --> parse --> drop pin --> return ctx
+//!             (TLS slot,                                           (TLS slot)
 //!              reset O(live))
 //! ```
 //!
@@ -183,7 +188,7 @@
 //!         (checkpointed frontiers; retained forest subtrees are reused),
 //!         and for a same-length edit only until it converges with the
 //!         recorded parse (`reparse_incremental`, `reparse_converged`)
-//! close_document(id) --> session dropped, its epoch pin released
+//! close_document(id) --> session dropped with its epoch pin
 //! ```
 //!
 //! The session owns a private `ParseCtx` (GSS pools + forest arena), the
@@ -230,6 +235,7 @@
 //! | context checkout/return    | thread-local, lock-free | not shared across threads |
 //! | `MODIFY`, `modify_scanner`, `collect_garbage` | do **not** wait for parses | serialize among themselves |
 //! | epoch swap                 | nanoseconds (pointer swap) | under the writer lock |
+//! | `stats`, `retired_epochs`  | fully concurrent  | never wait for a publication |
 //!
 //! ```
 //! use ipg::IpgServer;
@@ -255,9 +261,8 @@
 //! ```
 
 use std::cell::Cell;
-use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::thread;
 use std::time::Instant;
@@ -349,7 +354,8 @@ impl From<ScanError> for ServerError {
 /// plus the scanner whose DFA snapshot matches it.
 ///
 /// Epochs are handed out as `Arc<GrammarEpoch>` by
-/// [`IpgServer::current_epoch`] and pinned internally by every parse. The
+/// [`IpgServer::current_epoch`] and pinned internally by every parse; the
+/// `Arc` is an epoch's only owner, so the last pin dropped frees it. The
 /// bundled [`IpgSession`] is only ever *read* once the epoch is published
 /// (its item-set graph still grows lazily under its own internal writer,
 /// which is sound — lazy expansion adds entries, it never changes what an
@@ -369,6 +375,27 @@ pub struct GrammarEpoch {
     /// immutable within one epoch, so the (per-token string) name lookup
     /// is paid once per epoch instead of once per token.
     terminal_slots: OnceLock<Vec<Option<SymbolId>>>,
+    /// Work counters carried over from the epochs a re-lazification
+    /// replaced ([`IpgServer::relazify`]), so every `Sum` counter stays
+    /// monotone across eviction.
+    carried: GenStats,
+    /// Set when a publication replaces this epoch, before the server
+    /// drops its `Arc`; the last `Arc` dropped synchronizes with every
+    /// earlier one, so `Drop` sees the flag.
+    retired: AtomicBool,
+    /// The server's count of reclaimed epochs, which a retired epoch's
+    /// `Drop` bumps.
+    reclaimed: Arc<AtomicUsize>,
+}
+
+impl Drop for GrammarEpoch {
+    fn drop(&mut self) {
+        // Only a retired epoch counts: not the current epoch of a dropped
+        // server, nor the one `IpgServer::with_scanner` replaces in place.
+        if *self.retired.get_mut() {
+            self.reclaimed.fetch_add(1, Ordering::Release);
+        }
+    }
 }
 
 impl GrammarEpoch {
@@ -390,6 +417,38 @@ impl GrammarEpoch {
     /// The epoch's scanner, if the server was built with one.
     pub fn scanner(&self) -> Option<&Scanner> {
         self.scanner.as_deref()
+    }
+
+    /// The epoch that replaces this one: the next number, this epoch's
+    /// carried counters and the server's reclamation count.
+    fn successor(&self, session: Arc<IpgSession>, scanner: Option<Arc<Scanner>>) -> Self {
+        GrammarEpoch {
+            number: self.number + 1,
+            session,
+            scanner,
+            terminal_slots: OnceLock::new(),
+            carried: self.carried,
+            retired: AtomicBool::new(false),
+            reclaimed: self.reclaimed.clone(),
+        }
+    }
+
+    /// The epoch's work counters: its graph's and its scanner's (whose
+    /// materialised DFA also joins the residency gauge), plus the counters
+    /// carried from the epochs a re-lazification replaced.
+    fn stats(&self) -> GenStats {
+        let mut stats = self.session.stats();
+        if let Some(scanner) = self.scanner() {
+            stats.dfa_states_carried = scanner.carried_states();
+            let dfa = scanner.dfa_stats();
+            stats.dense_rows_built = dfa.dense_rows_built;
+            stats.dense_bytes = dfa.dense_bytes;
+            stats.skip_loop_bytes = dfa.skip_loop_bytes;
+            stats.resident_bytes += scanner.resident_bytes();
+            stats.resident_high_water = stats.resident_high_water.max(stats.resident_bytes);
+        }
+        stats.merge(&self.carried);
+        stats
     }
 
     /// The `token-id slot -> terminal` map of this epoch (empty for
@@ -485,12 +544,11 @@ pub struct RequestCtx {
 }
 
 thread_local! {
-    /// The per-thread context pool slot. Keyed by thread like the server's
-    /// per-thread statistics, and lock-free by construction: checkout and
-    /// return are plain `Cell` swaps with no cross-thread traffic. One
-    /// slot suffices because a thread runs one request at a time; a nested
-    /// checkout (reentrant parse) simply builds a fresh context, and the
-    /// last return wins the slot.
+    /// The per-thread context pool slot, lock-free by construction:
+    /// checkout and return are plain `Cell` swaps with no cross-thread
+    /// traffic. One slot suffices because a thread runs one request at a
+    /// time; a nested checkout (reentrant parse) simply builds a fresh
+    /// context, and the last return wins the slot.
     static CTX_SLOT: Cell<Option<Box<RequestCtx>>> = const { Cell::new(None) };
 }
 
@@ -601,19 +659,18 @@ pub(crate) enum Work<'a> {
     },
 }
 
-/// Per-thread query statistics of one server, plus the graph-wide
-/// generator counters — the aggregation [`IpgServer::stats`] reports.
+/// A server's statistics, as [`IpgServer::stats`] reports them.
 #[derive(Clone, Debug, Default)]
 pub struct ServerStats {
-    /// The current epoch's graph work counters (expansions, invalidations,
-    /// GC, rows built, flushed query counts — carried forward across
-    /// epochs by the fork) plus the server's epoch counters
+    /// The current epoch's work counters — graph (expansions,
+    /// invalidations, GC, rows built, flushed query counts; carried forward
+    /// across epochs by the fork and across eviction by re-lazification)
+    /// and scanner — plus the server's epoch counters
     /// (`epochs_published` / `epochs_retired` / `epochs_reclaimed`).
     pub graph: GenStats,
-    /// Parses served, `ACTION`/`GOTO` queries issued and epoch
-    /// reclamations triggered, per serving thread (keyed by a debug
-    /// rendering of the thread id).
-    pub per_thread: Vec<(String, GenStats)>,
+    /// What the server's requests recorded, from every thread: parses
+    /// served, `ACTION`/`GOTO` queries issued, latency, context reuse.
+    pub served: GenStats,
     /// Epochs retired but not yet reclaimed: still pinned by at least one
     /// in-flight parse (or an externally held [`IpgServer::current_epoch`]
     /// handle).
@@ -623,18 +680,16 @@ pub struct ServerStats {
 impl ServerStats {
     /// Total parses served across all threads.
     pub fn total_parses(&self) -> usize {
-        self.per_thread.iter().map(|(_, s)| s.parses).sum()
+        self.served.parses
     }
 
-    /// One [`GenStats`] folding the graph counters and every per-thread
-    /// entry together through [`GenStats::merge`]: counters sum, latency
+    /// One [`GenStats`] folding the epoch's and the requests' counters
+    /// together through [`GenStats::merge`]: counters sum, latency
     /// histograms merge exactly, high-water marks take the maximum. This
     /// is what the network frontend's STATS verb reports.
     pub fn merged(&self) -> GenStats {
         let mut total = self.graph;
-        for (_, stats) in &self.per_thread {
-            total.merge(stats);
-        }
+        total.merge(&self.served);
         total
     }
 }
@@ -650,18 +705,18 @@ pub struct IpgServer {
     /// The current epoch. Readers hold this lock only long enough to
     /// clone the `Arc`; the writer holds it only for the pointer swap.
     current: RwLock<Arc<GrammarEpoch>>,
-    /// Shadow of `current`'s epoch number, so a parse releasing its pin
-    /// can detect "my epoch was retired" with one atomic load instead of
-    /// a lock.
+    /// Shadow of `current`'s epoch number, so a document can detect a
+    /// stale pin with one atomic load instead of a lock. Each publication
+    /// adds one, so it also counts the epochs published and retired.
     current_number: AtomicU64,
-    /// The write side: serializes publications and owns the retired list.
-    writer: Mutex<EpochWriter>,
-    /// Per-thread query counters, updated once per parse (not per query).
-    /// Bounded: once `MAX_TRACKED_THREADS` distinct threads have been
-    /// seen, further threads fold into one overflow aggregate, so a
-    /// server driven from a churning thread pool cannot leak one entry
-    /// per retired `ThreadId`.
-    per_thread: Mutex<PerThreadStats>,
+    /// Retired epochs freed so far; shared with every epoch, whose `Drop`
+    /// counts its own reclamation.
+    reclaimed: Arc<AtomicUsize>,
+    /// Serializes publications.
+    writer: Mutex<()>,
+    /// The counters requests record into, once per request (not per
+    /// query).
+    served: Mutex<GenStats>,
     /// Open document sessions (see [`crate::document`]): incremental
     /// re-parse state keyed by document id.
     pub(crate) documents: crate::document::DocRegistry,
@@ -671,45 +726,24 @@ pub struct IpgServer {
     budget: RwLock<ParseBudget>,
 }
 
-/// Cap on individually tracked serving threads (see `IpgServer::per_thread`).
-const MAX_TRACKED_THREADS: usize = 64;
-
-#[derive(Debug, Default)]
-struct PerThreadStats {
-    tracked: HashMap<thread::ThreadId, GenStats>,
-    /// Aggregate of every thread beyond the tracking cap.
-    overflow: GenStats,
-}
-
-/// Serialized write-side state: the retired-epoch park and the lifetime
-/// epoch counters.
-#[derive(Debug, Default)]
-struct EpochWriter {
-    /// Epochs that are no longer current but may still be pinned by
-    /// readers. Swept (deferred reclamation) on release and publication.
-    retired: Vec<Arc<GrammarEpoch>>,
-    /// Epochs published over the server's lifetime (the initial epoch is
-    /// not counted — it was never *published* over a predecessor).
-    published: usize,
-    /// Epochs retired over the server's lifetime.
-    retired_total: usize,
-    /// Retired epochs whose storage has been reclaimed.
-    reclaimed_total: usize,
-}
-
 impl IpgServer {
     /// Wraps a session for serving (epoch 0).
     pub fn new(session: IpgSession) -> Self {
+        let reclaimed = Arc::new(AtomicUsize::new(0));
         IpgServer {
             current: RwLock::new(Arc::new(GrammarEpoch {
                 number: 0,
                 session: Arc::new(session),
                 scanner: None,
                 terminal_slots: OnceLock::new(),
+                carried: GenStats::default(),
+                retired: AtomicBool::new(false),
+                reclaimed: reclaimed.clone(),
             })),
             current_number: AtomicU64::new(0),
-            writer: Mutex::new(EpochWriter::default()),
-            per_thread: Mutex::new(PerThreadStats::default()),
+            reclaimed,
+            writer: Mutex::new(()),
+            served: Mutex::new(GenStats::default()),
             documents: crate::document::DocRegistry::default(),
             budget: RwLock::new(ParseBudget::UNLIMITED),
         }
@@ -722,7 +756,7 @@ impl IpgServer {
 
     /// Attaches a shared scanner, enabling [`IpgServer::parse_text`]. A
     /// construction-time convenience: the scanner joins the current epoch
-    /// in place (no publication).
+    /// in place (no publication, retirement or reclamation is counted).
     pub fn with_scanner(self, scanner: Scanner) -> Self {
         {
             let mut current = self.current.write().unwrap();
@@ -731,6 +765,9 @@ impl IpgServer {
                 session: current.session.clone(),
                 scanner: Some(Arc::new(scanner)),
                 terminal_slots: OnceLock::new(),
+                carried: current.carried,
+                retired: AtomicBool::new(false),
+                reclaimed: self.reclaimed.clone(),
             });
         }
         self
@@ -770,9 +807,9 @@ impl IpgServer {
     }
 
     /// The current epoch, pinned. Public for observability (tests, tools
-    /// that want to tag work with an epoch); dropping the `Arc` releases
-    /// the pin, and any storage it kept alive is reclaimed by the next
-    /// deferred sweep (a parse release or a publication).
+    /// that want to tag work with an epoch); dropping the `Arc` ends the
+    /// pin, and if the epoch was retired meanwhile and this was its last
+    /// pin, the epoch's storage is freed right there.
     pub fn current_epoch(&self) -> Arc<GrammarEpoch> {
         self.acquire()
     }
@@ -782,58 +819,29 @@ impl IpgServer {
         self.current_number.load(Ordering::Acquire)
     }
 
-    /// Number of retired epochs still pinned by readers (awaiting
-    /// deferred reclamation).
+    /// Number of retired epochs still pinned by readers.
     pub fn retired_epochs(&self) -> usize {
-        self.writer.lock().unwrap().retired.len()
+        let (retired, reclaimed) = self.epoch_counts();
+        retired - reclaimed
     }
 
-    /// Releases a pin. If the epoch was retired while the caller used it,
-    /// run the deferred sweep so the storage of epochs whose last reader
-    /// just left is reclaimed promptly. `try_lock`: if a publication is
-    /// in progress the sweep is skipped — that publication sweeps itself,
-    /// so a parse never blocks on a writer here.
-    pub(crate) fn release(&self, epoch: Arc<GrammarEpoch>) {
-        let number = epoch.number;
-        drop(epoch);
-        if number == self.current_number.load(Ordering::Acquire) {
-            return;
-        }
-        if let Ok(mut writer) = self.writer.try_lock() {
-            let reclaimed = Self::sweep_locked(&mut writer);
-            drop(writer);
-            if reclaimed > 0 {
-                self.note_epochs(0, reclaimed);
-            }
-        }
+    /// `(retired, reclaimed)`: the epochs published so far, each of which
+    /// retired its predecessor, and the retired epochs freed so far. The
+    /// reclamations are read first, so every epoch they count was retired
+    /// by a publication the second read sees.
+    fn epoch_counts(&self) -> (usize, usize) {
+        let reclaimed = self.reclaimed.load(Ordering::Acquire);
+        (self.epoch_number() as usize, reclaimed)
     }
 
-    /// Publishes `next` as the current epoch, retires the predecessor and
-    /// sweeps. Returns the number of epochs reclaimed by the sweep.
-    fn install_locked(&self, writer: &mut EpochWriter, next: GrammarEpoch) -> usize {
-        let next = Arc::new(next);
+    /// Publishes `next` as the current epoch and retires its predecessor:
+    /// the server drops its `Arc`, and the predecessor is freed with its
+    /// last pin (the caller's own, if no reader holds one). The caller
+    /// holds the writer lock.
+    fn install(&self, next: GrammarEpoch) {
         self.current_number.store(next.number, Ordering::Release);
-        let old = {
-            let mut current = self.current.write().unwrap();
-            std::mem::replace(&mut *current, next)
-        };
-        writer.published += 1;
-        writer.retired_total += 1;
-        writer.retired.push(old);
-        Self::sweep_locked(writer)
-    }
-
-    /// Drops every retired epoch whose last reader has left (strong count
-    /// 1 = only the retired list itself). This is the deferred
-    /// reclamation: the item sets, dense rows and DFA snapshot of a
-    /// retired epoch are freed here, never while a reader could still
-    /// query them.
-    fn sweep_locked(writer: &mut EpochWriter) -> usize {
-        let before = writer.retired.len();
-        writer.retired.retain(|epoch| Arc::strong_count(epoch) > 1);
-        let reclaimed = before - writer.retired.len();
-        writer.reclaimed_total += reclaimed;
-        reclaimed
+        let old = std::mem::replace(&mut *self.current.write().unwrap(), Arc::new(next));
+        old.retired.store(true, Ordering::Release);
     }
 
     // ------------------------------------------------------------------
@@ -844,10 +852,7 @@ impl IpgServer {
     /// publishing new epochs neither wait for `f` nor invalidate what it
     /// sees).
     pub fn read<R>(&self, f: impl FnOnce(&IpgSession) -> R) -> R {
-        let epoch = self.acquire();
-        let result = f(&epoch.session);
-        self.release(epoch);
-        result
+        f(&self.acquire().session)
     }
 
     /// The grammar version currently being served.
@@ -896,7 +901,6 @@ impl IpgServer {
         ipg_glr::fault::point("post-pin");
         let work = Ok(Work::Request(request));
         let outcome = self.run_request(&epoch, &mut ctx, work, budget, started, Some(reused));
-        self.release(epoch);
         match outcome {
             Ok(outcome) => Ok(PooledParse { ctx: Some(ctx), outcome }),
             Err(e) => Err(self.discard_ctx(ctx, e)),
@@ -1126,20 +1130,11 @@ impl IpgServer {
     /// parses, which keep reading the epoch they pinned, and it does not
     /// grow with the size of the graph.
     pub fn modify<R>(&self, f: impl FnOnce(&mut IpgSession) -> R) -> R {
-        let mut writer = self.writer.lock().unwrap();
+        let _writer = self.writer.lock().unwrap();
         let cur = self.acquire();
         let mut session = (*cur.session).clone();
         let result = f(&mut session);
-        let next = GrammarEpoch {
-            number: cur.number + 1,
-            session: Arc::new(session),
-            scanner: cur.scanner.clone(),
-            terminal_slots: OnceLock::new(),
-        };
-        drop(cur);
-        let reclaimed = self.install_locked(&mut writer, next);
-        drop(writer);
-        self.note_epochs(1, reclaimed);
+        self.install(cur.successor(Arc::new(session), cur.scanner.clone()));
         result
     }
 
@@ -1151,23 +1146,14 @@ impl IpgServer {
     /// lexical edit does not restart the scanner cold. In-flight
     /// `parse_text` calls finish on the DFA snapshot they pinned.
     pub fn modify_scanner<R>(&self, f: impl FnOnce(&mut Scanner) -> R) -> Result<R, ServerError> {
-        let mut writer = self.writer.lock().unwrap();
+        let _writer = self.writer.lock().unwrap();
         let cur = self.acquire();
         let Some(scanner) = cur.scanner.as_deref() else {
             return Err(ServerError::NoScanner);
         };
         let mut scanner = scanner.clone();
         let result = f(&mut scanner);
-        let next = GrammarEpoch {
-            number: cur.number + 1,
-            session: cur.session.clone(),
-            scanner: Some(Arc::new(scanner)),
-            terminal_slots: OnceLock::new(),
-        };
-        drop(cur);
-        let reclaimed = self.install_locked(&mut writer, next);
-        drop(writer);
-        self.note_epochs(1, reclaimed);
+        self.install(cur.successor(cur.session.clone(), Some(Arc::new(scanner))));
         Ok(result)
     }
 
@@ -1185,8 +1171,8 @@ impl IpgServer {
 
     /// Runs a mark-and-sweep collection: like `MODIFY`, the collection
     /// happens on a private fork that is then published, so parses in
-    /// flight keep their (uncollected) epoch until they finish and the
-    /// old storage is reclaimed by the deferred sweep.
+    /// flight keep their (uncollected) epoch until they finish, and the
+    /// old storage goes with the last of their pins.
     pub fn collect_garbage(&self) {
         self.modify(|s| s.collect_garbage());
     }
@@ -1198,45 +1184,36 @@ impl IpgServer {
     /// expander — the registry's evict → re-lazify cycle, and the paper's
     /// laziness applied to memory instead of cold-start time.
     ///
-    /// Work counters are carried onto the cold epoch ("how much work has
-    /// this tenant caused over its lifetime"), so stats stay monotone
-    /// across eviction; the residency gauges drop to the cold working set.
-    /// In-flight parses finish on the warm epoch they pinned; its storage
-    /// is reclaimed by the deferred sweep once the last reader leaves.
+    /// Work counters — the graph's and the scanner's — are carried onto
+    /// the cold epoch ("how much work has this tenant caused over its
+    /// lifetime"), so every `Sum` counter stays monotone across eviction;
+    /// the residency gauge drops to the cold working set while its
+    /// high-water mark keeps the warm one. In-flight parses finish on the
+    /// warm epoch they pinned, which is freed with the last of their pins.
     ///
     /// Returns the number of chunks evicted (node chunks, snapshot chunks
     /// and DFA row chunks the warm epoch held beyond the cold one).
     pub fn relazify(&self) -> usize {
-        let mut writer = self.writer.lock().unwrap();
+        let _writer = self.writer.lock().unwrap();
         let cur = self.acquire();
         let warm_chunks = cur.session.chunk_accounting().len()
             + cur.scanner().map_or(0, |s| s.snapshot_accounting().len());
-        let mut carried = cur.session.graph().stats();
-        // The high-water gauge must remember the *full* warm residency
-        // (graph + rule arena + scanner snapshot), not just the graph's
-        // own share; the live gauge is resampled from the cold stores.
-        let warm_resident = cur.session.resident_bytes()
-            + cur.scanner().map_or(0, |s| s.resident_bytes());
-        carried.resident_high_water = carried.resident_high_water.max(warm_resident);
-        carried.resident_bytes = 0;
         let session = IpgSession::with_policy(
             cur.session.grammar().clone(),
             cur.session.graph().gc_policy(),
         );
-        session.graph().adopt_stats(carried);
         let scanner = cur.scanner().map(|s| Arc::new(s.relazified()));
         let cold_chunks = session.chunk_accounting().len()
             + scanner.as_deref().map_or(0, |s| s.snapshot_accounting().len());
-        let next = GrammarEpoch {
-            number: cur.number + 1,
-            session: Arc::new(session),
-            scanner,
-            terminal_slots: OnceLock::new(),
+        let mut next = cur.successor(Arc::new(session), scanner);
+        // The re-lazified scanner keeps its own count of carried DFA
+        // states, and the live residency is resampled from the cold stores.
+        next.carried = GenStats {
+            dfa_states_carried: 0,
+            resident_bytes: 0,
+            ..cur.stats()
         };
-        drop(cur);
-        let reclaimed = self.install_locked(&mut writer, next);
-        drop(writer);
-        self.note_epochs(1, reclaimed);
+        self.install(next);
         let evicted = warm_chunks.saturating_sub(cold_chunks);
         self.note(|s| s.chunks_evicted += evicted);
         evicted
@@ -1249,10 +1226,7 @@ impl IpgServer {
     /// (already counted) or reclaimed when their last reader leaves.
     pub fn resident_bytes(&self) -> usize {
         let epoch = self.acquire();
-        let bytes = epoch.session.resident_bytes()
-            + epoch.scanner().map_or(0, |s| s.resident_bytes());
-        self.release(epoch);
-        bytes
+        epoch.session.resident_bytes() + epoch.scanner().map_or(0, |s| s.resident_bytes())
     }
 
     /// Pointer-keyed accounting rows `(Arc pointer as usize, modeled
@@ -1266,7 +1240,6 @@ impl IpgServer {
         if let Some(scanner) = epoch.scanner() {
             rows.extend(scanner.snapshot_accounting());
         }
-        self.release(epoch);
         rows
     }
 
@@ -1322,84 +1295,27 @@ impl IpgServer {
             .collect()
     }
 
-    /// The aggregated statistics: the current epoch's graph counters
+    /// The aggregated statistics: the current epoch's work counters
     /// (carried forward across epochs), the server's epoch counters and
-    /// the per-thread query/parse counts. Runs an opportunistic sweep so
-    /// reclamation is visible promptly.
+    /// the requests' counters. Never waits for a publication.
     pub fn stats(&self) -> ServerStats {
-        let mut graph = {
-            let epoch = self.acquire();
-            let mut graph = epoch.session.stats();
-            // The scanner's carry-over and dense-path counters ride along
-            // with the graph counters (zero for servers without a scanner).
-            if let Some(scanner) = epoch.scanner() {
-                graph.dfa_states_carried = scanner.carried_states();
-                let dfa = scanner.dfa_stats();
-                graph.dense_rows_built = dfa.dense_rows_built;
-                graph.dense_bytes = dfa.dense_bytes;
-                graph.skip_loop_bytes = dfa.skip_loop_bytes;
-                // The scanner's materialised DFA snapshot joins the
-                // residency gauge (the session already folded in its graph
-                // and rule-arena bytes).
-                graph.resident_bytes += scanner.resident_bytes();
-                graph.resident_high_water =
-                    graph.resident_high_water.max(graph.resident_bytes);
-            }
-            self.release(epoch);
-            graph
-        };
-        let retired_epochs = {
-            let mut writer = self.writer.lock().unwrap();
-            Self::sweep_locked(&mut writer);
-            graph.epochs_published += writer.published;
-            graph.epochs_retired += writer.retired_total;
-            graph.epochs_reclaimed += writer.reclaimed_total;
-            writer.retired.len()
-        };
-        let per_thread = self.per_thread.lock().unwrap();
-        let mut entries: Vec<(String, GenStats)> = per_thread
-            .tracked
-            .iter()
-            .map(|(id, stats)| (format!("{id:?}"), *stats))
-            .collect();
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        if per_thread.overflow != GenStats::default() {
-            entries.push(("(untracked threads)".to_owned(), per_thread.overflow));
-        }
+        let mut graph = self.acquire().stats();
+        let (retired, reclaimed) = self.epoch_counts();
+        graph.epochs_published = retired;
+        graph.epochs_retired = retired;
+        graph.epochs_reclaimed = reclaimed;
         ServerStats {
             graph,
-            per_thread: entries,
-            retired_epochs,
+            served: *self.served.lock().unwrap(),
+            retired_epochs: retired - reclaimed,
         }
     }
 
-    fn note_epochs(&self, retired: usize, reclaimed: usize) {
-        if retired == 0 && reclaimed == 0 {
-            return;
-        }
-        self.note(|s| {
-            s.epochs_published += retired;
-            s.epochs_retired += retired;
-            s.epochs_reclaimed += reclaimed;
-        });
-    }
-
-    /// Records into the calling thread's stats entry (or, past the
-    /// tracking cap, the overflow aggregate): `f` adds to the counters in
-    /// place, as the frontend's recording does, so a request pays for the
-    /// counters it touches and no more.
+    /// Records into the server's counters: `f` adds to them in place, as
+    /// the frontend's recording does, so a request pays for the counters
+    /// it touches and no more.
     pub(crate) fn note(&self, f: impl FnOnce(&mut GenStats)) {
-        f(Self::entry_mut(&mut self.per_thread.lock().unwrap()));
-    }
-
-    fn entry_mut(per_thread: &mut PerThreadStats) -> &mut GenStats {
-        let id = thread::current().id();
-        if per_thread.tracked.contains_key(&id) || per_thread.tracked.len() < MAX_TRACKED_THREADS
-        {
-            per_thread.tracked.entry(id).or_default()
-        } else {
-            &mut per_thread.overflow
-        }
+        f(&mut self.served.lock().unwrap());
     }
 }
 
@@ -1417,6 +1333,8 @@ mod tests {
     use super::*;
     use ipg_grammar::fixtures;
     use ipg_lexer::simple_scanner;
+    use std::sync::{mpsc, Barrier};
+    use std::time::Duration;
 
     fn boolean_server() -> IpgServer {
         IpgServer::new(IpgSession::new(fixtures::booleans()))
@@ -1439,7 +1357,6 @@ mod tests {
         });
         let stats = server.stats();
         assert_eq!(stats.total_parses(), 16);
-        assert!(!stats.per_thread.is_empty());
         assert!(stats.merged().action_calls > 0);
         assert!(stats.graph.expansions > 0);
     }
@@ -1562,9 +1479,8 @@ mod tests {
         let stats = server.stats();
         assert_eq!(stats.graph.epochs_published, 1);
         assert_eq!(stats.graph.epochs_retired, 1);
-        // No reader pinned epoch 0, so the publication's own sweep (or the
-        // one in `stats`) already reclaimed it: the item-set storage of
-        // the retired epoch is gone.
+        // No reader pinned epoch 0, so the publication dropped its last
+        // pin: the item-set storage of the retired epoch is gone.
         assert_eq!(stats.graph.epochs_reclaimed, 1);
         assert_eq!(stats.retired_epochs, 0);
         assert!(weak.upgrade().is_none(), "retired epoch 0 was freed");
@@ -1582,7 +1498,7 @@ mod tests {
         // ...and the pinned state still answers for its own version.
         assert!(pinned.grammar_version() < server.grammar_version());
         drop(pinned);
-        // The next sweep (here: via stats) reclaims it.
+        // Dropping the last pin reclaimed it.
         let stats = server.stats();
         assert_eq!(stats.retired_epochs, 0);
         assert!(weak.upgrade().is_none());
@@ -1590,12 +1506,78 @@ mod tests {
     }
 
     #[test]
+    fn a_dropped_pin_frees_its_retired_epoch_at_once() {
+        let server = boolean_server();
+        let pinned = server.current_epoch();
+        let weak = Arc::downgrade(&pinned);
+        server.add_rule_text(r#"B ::= "maybe""#).unwrap();
+        assert!(weak.upgrade().is_some());
+        // The pin was the epoch's last owner: no later server call is
+        // needed to free it.
+        drop(pinned);
+        assert!(weak.upgrade().is_none(), "the retired epoch was freed");
+        assert_eq!(server.retired_epochs(), 0);
+    }
+
+    #[test]
+    fn stats_do_not_wait_for_a_publication() {
+        let server = &boolean_server();
+        let inside = Barrier::new(2);
+        let finish = Barrier::new(2);
+        thread::scope(|scope| {
+            scope.spawn(|| {
+                server.modify(|s| {
+                    inside.wait();
+                    finish.wait();
+                    s.add_rule_text(r#"B ::= "maybe""#).unwrap();
+                })
+            });
+            inside.wait();
+            // The publication is open: the writer holds its lock.
+            let (sender, receiver) = mpsc::channel();
+            scope.spawn(move || {
+                let stats = server.stats();
+                sender
+                    .send((stats.retired_epochs, server.retired_epochs()))
+                    .unwrap();
+            });
+            let read = receiver.recv_timeout(Duration::from_secs(5));
+            finish.wait();
+            assert_eq!(read, Ok((0, 0)), "stats waited for the publication");
+        });
+        assert_eq!(server.stats().graph.epochs_published, 1);
+    }
+
+    #[test]
+    fn with_scanner_counts_no_retirement_or_reclamation() {
+        let server = boolean_server();
+        let scannerless = server.current_epoch();
+        let server = server.with_scanner(simple_scanner(&["true", "false", "or", "and"]));
+        drop(scannerless);
+        let epochs = |stats: GenStats| {
+            (
+                stats.epochs_published,
+                stats.epochs_retired,
+                stats.epochs_reclaimed,
+            )
+        };
+        let stats = server.stats();
+        assert_eq!(epochs(stats.merged()), (0, 0, 0));
+        assert_eq!(stats.retired_epochs, 0);
+        server.add_rule_text(r#"B ::= "maybe""#).unwrap();
+        let stats = server.stats();
+        assert_eq!(epochs(stats.graph), (1, 1, 1));
+        assert_eq!(epochs(stats.merged()), (1, 1, 1));
+        assert_eq!(stats.retired_epochs, 0);
+    }
+
+    #[test]
     fn per_thread_tracking_is_bounded() {
         let server = boolean_server();
         server.warm();
         let tokens = server.tokens("true or false").unwrap();
-        // Far more threads than the tracking cap, one parse each.
-        let total = MAX_TRACKED_THREADS + 8;
+        // Many short-lived threads, one parse each.
+        let total = 72;
         for _ in 0..total {
             let server = &server;
             let tokens = &tokens;
@@ -1606,23 +1588,8 @@ mod tests {
             });
         }
         let stats = server.stats();
-        // Every parse is accounted for, but the per-thread list stays at
-        // the cap plus the single overflow aggregate.
+        // Every parse is accounted for, with one exact latency sample each.
         assert_eq!(stats.total_parses(), total);
-        assert!(stats.per_thread.len() <= MAX_TRACKED_THREADS + 1);
-        let overflow = stats
-            .per_thread
-            .iter()
-            .find(|(name, _)| name == "(untracked threads)")
-            .map(|(_, s)| s)
-            .expect("overflow aggregate present");
-        assert_eq!(overflow.parses, 8);
-        // The overflow aggregate goes through the same field-aware merge
-        // as tracked entries: its latency histogram holds one exact sample
-        // per folded-in parse (nothing lossy like a clobbered mean), and
-        // the merged view accounts for every thread's samples.
-        assert_eq!(overflow.latency.count(), 8);
-        assert!(overflow.latency.max_us() <= stats.merged().latency.max_us());
         assert_eq!(stats.merged().latency.count() as usize, total);
         assert_eq!(stats.merged().parses, total);
     }
@@ -1675,11 +1642,8 @@ mod tests {
             assert_eq!(parsed.grammar_version(), server.grammar_version());
             assert!(!parsed.forest().roots().is_empty());
         }
-        let stats = server.stats();
-        let (reused, fresh): (usize, usize) = stats
-            .per_thread
-            .iter()
-            .fold((0, 0), |(r, f), (_, s)| (r + s.ctx_reused, f + s.ctx_fresh));
+        let stats = server.stats().merged();
+        let (reused, fresh) = (stats.ctx_reused, stats.ctx_fresh);
         assert_eq!(reused + fresh, 8);
         // At most the first request on this thread built a context.
         assert!(reused >= 7, "contexts must be recycled: {reused} reused / {fresh} fresh");

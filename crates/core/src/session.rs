@@ -18,8 +18,7 @@
 //! one session at the same time; to interleave modifications with parses,
 //! wrap the session in [`crate::IpgServer`], which publishes each
 //! modification as a fresh immutable *epoch* (parses pin the epoch they
-//! started on and are never drained) and adds per-thread statistics
-//! aggregation:
+//! started on and are never drained) and records request statistics:
 //!
 //! ```
 //! use ipg::IpgSession;

@@ -15,13 +15,12 @@ pub const HISTOGRAM_BUCKETS: usize = 128;
 /// everything above is bucketed at quarter-octave (≤ 25 %) resolution up
 /// to ~2 hours. Recording is allocation-free and branch-light — one index
 /// computation and two increments — so it can sit on the serving hot path;
-/// the structure is `Copy`, so it rides inside [`GenStats`] through the
-/// existing per-thread aggregation.
+/// the structure is `Copy`, so it rides inside [`GenStats`] through every
+/// aggregation.
 ///
 /// Merging two histograms (bucket-wise addition, max of maxima) is exact:
 /// unlike a `(mean, max)` pair, no quantile information is lost when
-/// per-thread histograms are folded into an aggregate — including the
-/// serving layer's bounded-thread-map *overflow* aggregate.
+/// histograms are folded into an aggregate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LatencyHistogram {
     /// Sample counts per bucket (see [`LatencyHistogram::bucket_index`]).
@@ -146,8 +145,9 @@ pub enum CounterValue<'a> {
     /// A cumulative count: summed.
     Sum(usize),
     /// A high-water mark or a point-in-time gauge: max-merged. Summing
-    /// per-thread copies would fabricate depths, thread counts or bytes
-    /// nobody observed (gauges of shared state would double-count it).
+    /// the copies an aggregate folds would fabricate depths, thread counts
+    /// or bytes nobody observed (gauges of shared state would double-count
+    /// it).
     Max(usize),
     /// A latency histogram in microseconds: merged bucket-wise, exact for
     /// every quantile.
@@ -206,9 +206,8 @@ macro_rules! counters {
         impl GenStats {
             /// Folds `other` into `self` by each counter's kind:
             /// counts sum, high-water marks and gauges take the maximum,
-            /// histograms merge bucket-wise. Every aggregation (per-thread
-            /// entries, the overflow aggregate past the thread cap,
-            /// [`crate::ServerStats::merged`], the registry's totals) goes
+            /// histograms merge bucket-wise. Every aggregation
+            /// ([`crate::ServerStats::merged`], the registry's totals) goes
             /// through this one function, so no path can diverge.
             pub fn merge(&mut self, other: &GenStats) {
                 $(counters!(@merge $kind, self.$name, other.$name);)*
@@ -264,9 +263,8 @@ counters! {
     /// steady-state parse builds none).
     rows_built: Sum = "action rows built",
     // --- the serving layer ---
-    /// Requests served: parses by the serving layer's per-thread
-    /// aggregation, requests executed by the network frontend. Zero for
-    /// counters read directly off a graph.
+    /// Requests served: parses by the serving layer, requests executed by
+    /// the network frontend. Zero for counters read directly off a graph.
     parses: Sum = "parses served",
     /// Grammar epochs published by the serving layer (`MODIFY`, scanner
     /// changes, GC — each builds a successor table state and publishes it
@@ -276,9 +274,8 @@ counters! {
     /// Epochs retired: replaced as current but kept alive until their
     /// last pinned reader left.
     epochs_retired: Sum = "epochs retired",
-    /// Retired epochs actually reclaimed (their item-set storage, dense
-    /// rows and DFA snapshots freed) by the deferred sweep that runs once
-    /// the epoch's last reader leaves.
+    /// Retired epochs actually reclaimed: their item-set storage, dense
+    /// rows and DFA snapshots freed when the epoch's last pin was dropped.
     epochs_reclaimed: Sum = "epochs reclaimed",
     /// Storage chunks of the persistent item-set store copied on write
     /// because they were still shared with another fork (epoch) — the

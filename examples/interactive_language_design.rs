@@ -126,12 +126,12 @@ fn main() {
     server.collect_garbage();
     println!("after garbage collection: {}", server.read(|s| s.graph_size()));
 
-    // The per-thread aggregation shows how the work was spread.
+    // The server's counters: the requests of every thread, and the
+    // epochs each modification published.
     let stats = server.stats();
     println!(
-        "served {} parses from {} threads ({} ACTION queries in total)",
+        "served {} parses ({} ACTION queries in total)",
         stats.total_parses(),
-        stats.per_thread.len(),
         stats.merged().action_calls
     );
     println!(

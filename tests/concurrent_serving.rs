@@ -163,8 +163,6 @@ fn racing_parsers_and_modify_agree_with_the_oracle() {
         1 + parser_threads * rounds * inputs.len(),
         "every parse was served and recorded"
     );
-    // Per-thread aggregation saw every parser thread.
-    assert!(stats.per_thread.len() >= parser_threads);
     // Every modification published (and retired) an epoch, and with all
     // readers gone every retired epoch's item-set storage was reclaimed.
     assert_eq!(stats.graph.epochs_published, stats.graph.modifications);
@@ -221,10 +219,9 @@ fn modify_does_not_drain_in_flight_parses() {
     assert_eq!(result.grammar_version, version);
 }
 
-/// Deferred reclamation: a retired epoch's storage (the whole forked
-/// session, item sets included) stays alive exactly as long as a reader
-/// pins it, and is freed by the sweep that runs once the last reader
-/// leaves.
+/// Reclamation: a retired epoch's storage (the whole forked session,
+/// item sets included) stays alive exactly as long as a reader pins it,
+/// and is freed when the last reader drops its pin.
 #[test]
 fn retired_epochs_free_their_item_sets_after_last_reader_leaves() {
     let server = IpgServer::new(IpgSession::new(fixtures::booleans()));
@@ -255,8 +252,8 @@ fn retired_epochs_free_their_item_sets_after_last_reader_leaves() {
         reader.join().expect("reader thread panicked");
     });
 
-    // ...and the reader's release ran the deferred sweep: the retired
-    // epoch, with its item-set graph, is gone.
+    // ...and the reader's dropped pin freed it: the retired epoch, with
+    // its item-set graph, is gone.
     assert!(weak.upgrade().is_none(), "item-set storage was freed");
     let stats = server.stats();
     assert_eq!(stats.retired_epochs, 0);
@@ -303,8 +300,8 @@ fn retired_epochs_free_only_chunks_no_live_epoch_shares() {
     assert_eq!(server.stats().retired_epochs, 1);
     assert!(observers.iter().all(|o| o.is_alive()));
 
-    // Release the pin; the deferred sweep reclaims epoch 0 — but only the
-    // chunks it owned alone. Shared chunks live on inside epoch 1.
+    // Drop the pin; that frees epoch 0 — but only the chunks it owned
+    // alone. Shared chunks live on inside epoch 1.
     drop(epoch0);
     let stats = server.stats();
     assert_eq!(stats.retired_epochs, 0);

@@ -123,11 +123,8 @@ fn pooled_text_requests_survive_modify_between_requests() {
                 .unwrap();
         }
     }
-    let stats = server.stats();
-    let (reused, fresh) = stats
-        .per_thread
-        .iter()
-        .fold((0, 0), |(r, f), (_, s)| (r + s.ctx_reused, f + s.ctx_fresh));
+    let stats = server.stats().merged();
+    let (reused, fresh) = (stats.ctx_reused, stats.ctx_fresh);
     assert!(
         reused > fresh,
         "the pooled context must be recycled across MODIFYs: {reused} reused / {fresh} fresh"

@@ -183,7 +183,7 @@ proptest! {
         }
         prop_assert_eq!(server.epoch_number(), script.len() as u64);
         // With no parses in flight between edits, every retired epoch has
-        // been reclaimed by the deferred sweep.
+        // been freed with its last pin.
         let stats = server.stats();
         prop_assert_eq!(stats.retired_epochs, 0);
         prop_assert_eq!(stats.graph.epochs_reclaimed, script.len());

@@ -1,14 +1,18 @@
 //! The `STATS` document's contract: it is valid JSON, every key the
 //! benchmark harness and CI read stays in its block, every counter of the
-//! `GenStats` table appears in every tenant row and in the totals, and a
+//! `GenStats` table appears in every tenant row and in the totals, a
 //! budget-capped tenant's kills add up the same in the frontend's tally,
-//! in the totals and in that tenant's own row.
+//! in the totals and in that tenant's own row, each grammar edit counts
+//! one epoch, and no cumulative counter decreases when a tenant is
+//! evicted.
 
 use std::sync::Arc;
 
-use ipg::{GenStats, IpgServer, IpgSession, ParseBudget};
+use ipg::{CounterValue, GenStats, IpgServer, IpgSession, ParseBudget};
 use ipg_frontend::protocol::Status;
 use ipg_frontend::{Client, Frontend, FrontendConfig, ShutdownMode};
+use ipg_sdf::fixtures::{measurement_inputs, sdf_grammar_and_scanner};
+use ipg_sdf::NormalizedSdf;
 
 const BOOLEANS: &str = r#"
     B ::= "true" | "false" | B "or" B | B "and" B
@@ -431,5 +435,106 @@ fn keys_read_by_the_benchmark_and_ci_stay_in_their_blocks() {
         ["count", "mean_us", "p50_us", "p99_us", "p999_us", "max_us"]
     );
     assert_eq!(doc.at("registry", "tenants_active"), 1.0);
+    frontend.shutdown(ShutdownMode::Drain);
+}
+
+/// Tenant `id`'s row of the `tenants` array.
+fn tenant_row(doc: &Json, id: u32) -> &Json {
+    let Some(Json::Array(rows)) = doc.get("tenants") else {
+        panic!("no tenants array");
+    };
+    rows.iter()
+        .find(|r| r.get("id") == Some(&Json::Number(id as f64)))
+        .unwrap_or_else(|| panic!("no row for tenant {id}"))
+}
+
+fn number(block: &Json, key: &str) -> f64 {
+    match block.get(key) {
+        Some(Json::Number(n)) => *n,
+        other => panic!("{key} is {other:?}"),
+    }
+}
+
+#[test]
+fn each_grammar_edit_counts_one_epoch_in_every_block() {
+    let (frontend, mut client) = boolean_frontend();
+    const EDITS: usize = 6;
+    for edit in 0..EDITS {
+        let rule = r#"B ::= "maybe""#;
+        let reply = if edit % 2 == 0 {
+            client.add_rule(rule)
+        } else {
+            client.delete_rule(rule)
+        };
+        assert_eq!(reply.expect("request").status, Status::Ok, "edit {edit}");
+    }
+
+    let (_, doc) = stats(&mut client);
+    let edits = EDITS as f64;
+    for key in ["epochs_published", "epochs_retired", "epochs_reclaimed"] {
+        assert_eq!(doc.at("server", key), edits, "server.{key}");
+        assert_eq!(number(tenant_row(&doc, 0), key), edits, "tenant 0 {key}");
+        assert_eq!(doc.at("totals", key), edits, "totals.{key}");
+    }
+    frontend.shutdown(ShutdownMode::Drain);
+}
+
+#[test]
+fn no_sum_counter_decreases_across_eviction() {
+    let NormalizedSdf { grammar, scanner } = sdf_grammar_and_scanner();
+    let sdf = IpgServer::new(IpgSession::new(grammar)).with_scanner(scanner);
+    let text = measurement_inputs()
+        .into_iter()
+        .find(|input| input.name == "ASF.sdf")
+        .expect("ASF.sdf input")
+        .text;
+    // A one-byte budget: every enforcement pass evicts every tenant.
+    let server = Arc::new(IpgServer::new(
+        IpgSession::from_bnf(BOOLEANS).expect("boolean grammar"),
+    ));
+    let config = FrontendConfig {
+        workers: 2,
+        registry_budget: 1,
+        ..FrontendConfig::default()
+    };
+    let frontend = Frontend::bind("127.0.0.1:0", config, server).expect("bind");
+    let registry = frontend.registry();
+    let tenant = registry.attach("sdf", sdf).expect("attach");
+    let mut client = Client::connect(frontend.local_addr()).expect("connect");
+    client.set_tenant(tenant);
+
+    let sums: Vec<&str> = GenStats::default()
+        .counters()
+        .filter(|c| matches!(c.value, CounterValue::Sum(_)))
+        .map(|c| c.name)
+        .collect();
+    let mut last: Option<Vec<f64>> = None;
+    let mut check = |client: &mut Client, step: &str| {
+        let (_, doc) = stats(client);
+        let now: Vec<f64> = [tenant_row(&doc, tenant), doc.get("totals").expect("totals")]
+            .into_iter()
+            .flat_map(|block| sums.iter().map(move |key| number(block, key)))
+            .collect();
+        if let Some(before) = &last {
+            for (i, (was, is)) in before.iter().zip(&now).enumerate() {
+                let block = if i < sums.len() { "tenant" } else { "totals" };
+                let key = sums[i % sums.len()];
+                assert!(is >= was, "{block}.{key} fell from {was} to {is} at {step}");
+            }
+        }
+        last = Some(now);
+    };
+    for round in 0..3 {
+        let reply = client.parse_text(text, 0).expect("request");
+        assert_eq!(reply.status, Status::Ok, "round {round}");
+        check(&mut client, &format!("parse {round}"));
+        registry.enforce_budget();
+        assert_eq!(registry.is_evicted(tenant), Some(true), "round {round}");
+        check(&mut client, &format!("eviction {round}"));
+    }
+    let (_, doc) = stats(&mut client);
+    let row = tenant_row(&doc, tenant);
+    assert!(number(row, "dense_rows_built") > 0.0);
+    assert!(number(row, "chunks_evicted") > 0.0);
     frontend.shutdown(ShutdownMode::Drain);
 }
